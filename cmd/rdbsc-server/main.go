@@ -1,6 +1,7 @@
-// Command rdbsc-server runs the RDB-SC assignment service: an HTTP/JSON
-// front end over a churning engine, with batched mutations and
-// snapshot-isolated solves (see internal/serve for the concurrency model).
+// Command rdbsc-server runs the RDB-SC assignment service: the one
+// HTTP/JSON front end (internal/serve) over a state backend, with batched
+// mutations and snapshot-isolated solves (see internal/serve for the
+// concurrency model).
 //
 // The engine starts from a CSV workload (-in, as written by rdbsc-gen),
 // from a synthetic instance (-m/-n), or empty; clients then stream churn
@@ -16,11 +17,14 @@
 //	curl localhost:8080/v1/stats
 //	curl -X DELETE localhost:8080/v1/tasks/9000
 //
-// With -shards N (N > 1) the same API is served by the multi-shard cluster
-// topology (internal/cluster): the space is tiled, entities route to the
-// shard owning their tile, and solves go through the cross-shard
-// coordinator — exact, bit-identical to the single-engine answer.
-// -shards 1 (the default) keeps the plain single-engine serving path.
+// The shard count picks the backend, nothing else changes. -shards 1 (the
+// default) is serve.EngineBackend: one engine whose published snapshot is
+// what solves run on. -shards N (N > 1) is internal/cluster: the space is
+// tiled, entities route to the shard owning their tile, and solves go
+// through the cross-shard coordinator — exact, bit-identical to the
+// single-engine answer. A 1-shard cluster would also be exact, but it pays
+// the coordinator's assembly on every state change; docs/ARCHITECTURE.md
+// has the measurements.
 //
 // SIGINT/SIGTERM shut the server down gracefully: intake stops (new
 // mutations get 503), in-flight requests finish, and every queued mutation
@@ -140,10 +144,12 @@ func main() {
 		}
 	}
 
+	// The state backend is chosen by the shard count alone; everything above
+	// it — the /v1 handlers, solve cache, adaptive tier, listener — is the
+	// one serve.Server either way.
 	var (
-		srv       server
-		boot      string
-		solverTag = *solverName
+		backend serve.Backend
+		boot    string
 	)
 	if *shards > 1 {
 		cl, err := cluster.New(cluster.Config{
@@ -156,20 +162,15 @@ func main() {
 			QueueDepth:    *queueDepth,
 			BatchMax:      *batchMax,
 			BatchLinger:   *batchLinger,
-			SolveTimeout:  *solveTimeout,
 			DisableIndex:  !*useIndex,
-			SolveCache:    *solveCache,
 			Stores:        stores,
 			SnapshotEvery: durableSnapEvery(*dataDir, *snapEvery),
-			Adaptive:      *adaptiveOn,
-			SLOp99:        *sloP99,
-			MaxStale:      *maxStale,
 		}, in)
 		if err != nil {
 			fatal(err)
 		}
-		srv = cl
-		boot = fmt.Sprintf("%d shards, solver %s", cl.Shards(), solverTag)
+		backend = cl
+		boot = fmt.Sprintf("%d shards, solver %s", cl.Shards(), *solverName)
 	} else {
 		cfg := engine.Config{
 			Beta:         *beta,
@@ -183,30 +184,36 @@ func main() {
 		} else {
 			eng = engine.New(cfg)
 		}
-		scfg := serve.Config{
+		ecfg := serve.EngineConfig{
 			Engine:        eng,
-			SolverName:    *solverName,
 			QueueDepth:    *queueDepth,
 			BatchMax:      *batchMax,
 			BatchLinger:   *batchLinger,
-			SolveTimeout:  *solveTimeout,
-			SolveCache:    *solveCache,
 			SnapshotEvery: durableSnapEvery(*dataDir, *snapEvery),
-			Adaptive:      *adaptiveOn,
-			SLOp99:        *sloP99,
-			MaxStale:      *maxStale,
 		}
 		if stores != nil {
-			scfg.Store = stores[0]
+			ecfg.Store = stores[0]
 		}
-		s, err := serve.New(scfg)
+		eb, err := serve.NewEngineBackend(ecfg)
 		if err != nil {
 			fatal(err)
 		}
-		srv = s
-		snap := s.Snapshot()
+		backend = eb
+		snap := eb.Snapshot()
 		boot = fmt.Sprintf("%d tasks, %d workers, %d valid pairs, solver %s",
-			snap.Tasks(), snap.Workers(), len(snap.Problem.Pairs), solverTag)
+			snap.Tasks(), snap.Workers(), len(snap.Problem.Pairs), *solverName)
+	}
+	srv, err := serve.New(serve.Config{
+		Backend:      backend,
+		SolverName:   *solverName,
+		SolveTimeout: *solveTimeout,
+		SolveCache:   *solveCache,
+		Adaptive:     *adaptiveOn,
+		SLOp99:       *sloP99,
+		MaxStale:     *maxStale,
+	})
+	if err != nil {
+		fatal(err)
 	}
 	if *adaptiveOn {
 		boot += fmt.Sprintf(", adaptive SLO p99 %v (max-stale %v)", *sloP99, *maxStale)
@@ -255,13 +262,6 @@ func main() {
 		fatal(err)
 	}
 	log.Printf("rdbsc-server: drained and stopped")
-}
-
-// server is the slice of serve.Server / cluster.Cluster the main loop
-// needs; both satisfy it.
-type server interface {
-	Serve(ln net.Listener) error
-	Shutdown(ctx context.Context) error
 }
 
 // durableSnapEvery returns the periodic-compaction cadence: snapshots only

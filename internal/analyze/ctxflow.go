@@ -60,7 +60,7 @@ func checkEntryPoint(pass *Pass, fd *ast.FuncDecl) {
 	}
 	entry := false
 	for _, prefix := range ctxEntryPrefixes {
-		// Word-boundary match: "SolveSeeded" is a Solve entry point,
+		// Word-boundary match: "SolveComponents" is a Solve entry point,
 		// "Solver" (the accessor) is not.
 		if rest, ok := strings.CutPrefix(fd.Name.Name, prefix); ok &&
 			(rest == "" || rest[0] < 'a' || rest[0] > 'z') {

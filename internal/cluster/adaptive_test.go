@@ -4,26 +4,23 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
+
+	"rdbsc/internal/serve"
 )
 
-// TestClusterAdaptiveTier drives the cluster's adaptive solve path over
-// HTTP: within-budget unnamed solves route through the lane dispatcher
-// (lanes in the response, controller block in /v1/stats), and after the
-// budget collapses the tier degrades to the last assignment and then sheds.
+// TestClusterAdaptiveTier drives the adaptive solve path over the cluster
+// backend: within-budget unnamed solves route through the lane dispatcher,
+// one dispatch per component of the assembled problem, unwrapped (lanes in
+// the response, controller block in /v1/stats).
 func TestClusterAdaptiveTier(t *testing.T) {
-	cl, err := New(Config{
-		Shards: 3, Beta: 0.5, BetaSet: true, SolverName: "greedy",
-		Adaptive: true, SLOp99: 5 * time.Second,
-	}, nil)
+	cl, err := New(Config{Shards: 3, Beta: 0.5, BetaSet: true, SolverName: "greedy"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdown(t, cl)
-	ts := httptest.NewServer(cl.Handler())
-	defer ts.Close()
+	ts := serveHTTP(t, cl, serve.Config{Adaptive: true, SLOp99: 5 * time.Second})
 
 	post := func(path string, body any) (*http.Response, error) {
 		b, _ := json.Marshal(body)
@@ -52,7 +49,7 @@ func TestClusterAdaptiveTier(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("adaptive cluster solve: %s", resp.Status)
 	}
-	var solve SolveResponse
+	var solve serve.SolveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&solve); err != nil {
 		t.Fatal(err)
 	}
@@ -92,66 +89,4 @@ func TestClusterAdaptiveTier(t *testing.T) {
 	if stats.Adaptive == nil || stats.Adaptive.BudgetMS != 5000 {
 		t.Errorf("stats adaptive block = %+v, want budget_ms 5000", stats.Adaptive)
 	}
-}
-
-// TestClusterAdaptiveDegrade: an impossible budget makes the cluster serve
-// the last assignment stale (inside the bound) and shed past it.
-func TestClusterAdaptiveDegrade(t *testing.T) {
-	const maxStale = 250 * time.Millisecond
-	cl, err := New(Config{
-		Shards: 2, Beta: 0.5, BetaSet: true, SolverName: "greedy",
-		Adaptive: true, SLOp99: time.Nanosecond, MaxStale: maxStale,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(t, cl)
-	ts := httptest.NewServer(cl.Handler())
-	defer ts.Close()
-
-	post := func(path string, body any) *http.Response {
-		t.Helper()
-		b, _ := json.Marshal(body)
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	resp := post("/v1/tasks", []map[string]any{{"id": 1, "x": 0.5, "y": 0.5, "start": 0, "end": 6}})
-	resp.Body.Close()
-	resp = post("/v1/workers", []map[string]any{{"id": 1, "x": 0.45, "y": 0.5, "speed": 1.0, "confidence": 0.8, "depart": 0}})
-	resp.Body.Close()
-
-	// Seed the last assignment through the explicit-solver bypass.
-	resp = post("/v1/solve", map[string]any{"solver": "greedy", "seed": 1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("explicit solve: %s", resp.Status)
-	}
-	resp.Body.Close()
-
-	// Immediately after, the unnamed solve degrades inside the bound.
-	resp = post("/v1/solve", map[string]any{})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degrade solve: %s", resp.Status)
-	}
-	var solve SolveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&solve); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !solve.Degraded {
-		t.Fatalf("over-budget solve not degraded: %+v", solve)
-	}
-	if bound := float64(maxStale) / float64(time.Millisecond); solve.StaleMS > bound {
-		t.Errorf("stale_ms %.1f exceeds the bound %.0f", solve.StaleMS, bound)
-	}
-
-	// Past the bound, the tier sheds.
-	time.Sleep(maxStale + 100*time.Millisecond)
-	resp = post("/v1/solve", map[string]any{})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("solve past the staleness bound: %s, want 429", resp.Status)
-	}
-	resp.Body.Close()
 }

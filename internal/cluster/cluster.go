@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rdbsc/internal/adaptive"
 	"rdbsc/internal/applyloop"
 	"rdbsc/internal/core"
 	"rdbsc/internal/engine"
@@ -27,7 +24,7 @@ import (
 type Config struct {
 	// Shards is the shard count. Required (>= 1); a one-shard cluster is a
 	// valid degenerate topology, though cmd/rdbsc-server keeps -shards 1 on
-	// the plain serve path.
+	// serve.EngineBackend (docs/ARCHITECTURE.md has the measurements).
 	Shards int
 	// TileSize is the spatial tile side length (default 0.3). Smaller
 	// tiles spread load more evenly across shards but put more components
@@ -39,8 +36,9 @@ type Config struct {
 	BetaSet bool
 	// Opt configures reachability semantics for pair enumeration.
 	Opt model.Options
-	// SolverName selects the default solver for solve requests that name
-	// none. Default "dc".
+	// SolverName is checked against the solver registry at New and not
+	// otherwise used: solvers reach the cluster per call (Solve, View), and
+	// the HTTP default is serve.Config.SolverName. Default "dc".
 	SolverName string
 	// QueueDepth bounds each shard's mutation queue (default 1024).
 	QueueDepth int
@@ -49,19 +47,10 @@ type Config struct {
 	BatchMax int
 	// BatchLinger is each shard loop's batch-widening wait (default 0).
 	BatchLinger time.Duration
-	// SolveTimeout is the default and upper bound for per-request solve
-	// deadlines (default 30s).
-	SolveTimeout time.Duration
 	// Grid configures each shard's index; DisableIndex switches every shard
 	// to brute-force pair retrieval (same semantics, no grid).
 	Grid         grid.Config
 	DisableIndex bool
-	// SolveCache is the capacity of the cross-request solve cache, keyed on
-	// (shard version vector, routing generation, solver, seed): a repeat
-	// solve against an unchanged cluster replays the cached answer verbatim.
-	// Any shard's version bump or a cross-shard move invalidates every
-	// affected entry by construction. Default 0 (disabled).
-	SolveCache int
 	// Stores are the per-shard durability backends, exactly one per shard
 	// (nil = all memory, nothing persists). Each shard appends its batches
 	// to its own store and recovers from it at boot; when any store holds
@@ -71,18 +60,6 @@ type Config struct {
 	// SnapshotEvery compacts each shard's WAL into a snapshot after every
 	// N applied batches on that shard (0 = never).
 	SnapshotEvery int
-	// Adaptive enables the latency-SLO solve tier (internal/adaptive) on
-	// the coordinator: solve requests naming no explicit solver are routed
-	// per component of the assembled global problem to a lane picked to
-	// fit SLOp99, degrading to the cached last assignment (stamped
-	// "stale_ms") before shedding with 429. Off by default.
-	Adaptive bool
-	// SLOp99 is the solve-latency p99 budget (only with Adaptive; default
-	// 50ms).
-	SLOp99 time.Duration
-	// MaxStale bounds the staleness of degraded responses (only with
-	// Adaptive; default 5s).
-	MaxStale time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -94,17 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 256
-	}
-	if c.SolveTimeout <= 0 {
-		c.SolveTimeout = 30 * time.Second
-	}
-	if c.Adaptive {
-		if c.SLOp99 <= 0 {
-			c.SLOp99 = 50 * time.Millisecond
-		}
-		if c.MaxStale <= 0 {
-			c.MaxStale = 5 * time.Second
-		}
 	}
 	return c
 }
@@ -139,11 +105,9 @@ type shard struct {
 
 // Cluster is the sharded assignment service: a Router mapping entities to
 // shards by location, one apply loop per shard, and a solve Coordinator
-// that assembles the exact global problem from the shard snapshots.
-// Construct with New, expose Handler over HTTP or call ListenAndServe, and
-// stop with Shutdown.
+// that assembles the exact global problem from the shard snapshots. It
+// implements serve.Backend; construct with New and stop with Shutdown.
 type Cluster struct {
-	cfg    Config
 	tiling Tiling
 	shards []*shard
 	beta   float64
@@ -167,35 +131,17 @@ type Cluster struct {
 	epoch       uint64                          // recency stamp counter (see engine.Mutation.Epoch)
 	moveWG      sync.WaitGroup                  // in-flight cross-shard moves (ack + retirement)
 
-	asm   atomic.Pointer[assembled] // cached assembled global problem
-	cache *serve.SolveCache         // nil when Config.SolveCache == 0
-	adapt *adaptive.Controller      // nil when Config.Adaptive is off
+	asm atomic.Pointer[assembled] // cached assembled global problem
 
-	mux     *http.ServeMux
-	httpMu  sync.Mutex
-	closing bool
-	http    *http.Server
-
-	lastRes atomic.Pointer[SolveResponse]
-	started time.Time
-
-	// Counters behind /v1/stats.
+	// Counters behind the /v1/stats "cluster" block.
 	moves               atomic.Uint64 // cross-shard entity migrations
 	retirements         atomic.Uint64 // move source copies retired after destination ack
 	retireFailures      atomic.Uint64 // retirements abandoned (stale copy until next recovery)
-	solves              atomic.Uint64
-	solveErrors         atomic.Uint64
-	partials            atomic.Uint64
 	escalated           atomic.Uint64 // components spanning >1 shard, cumulative
 	interior            atomic.Uint64 // components interior to one shard, cumulative
 	assemblies          atomic.Uint64 // global-problem assemblies (cache misses)
 	assemblyReuses      atomic.Uint64 // solves served by a cached assembly
 	consistencyFailures atomic.Uint64 // post-solve invariant violations
-
-	statsMu    sync.Mutex
-	solveStats core.Stats
-	solveLatMS [1024]float64
-	latN       int
 }
 
 // pendingMove tracks one in-flight cross-shard move: the upsert has been
@@ -235,18 +181,12 @@ func New(cfg Config, in *model.Instance) (*Cluster, error) {
 		numTasks, numWorkers = len(in.Tasks), len(in.Workers)
 	}
 	c := &Cluster{
-		cfg:         cfg,
 		tiling:      Tiling{Shards: cfg.Shards, TileSize: cfg.TileSize}.withDefaults(),
 		shards:      make([]*shard, cfg.Shards),
 		taskShard:   make(map[model.TaskID]int, numTasks),
 		workerShard: make(map[model.WorkerID]int, numWorkers),
 		pendTask:    make(map[model.TaskID]*pendingMove),
 		pendWorker:  make(map[model.WorkerID]*pendingMove),
-		cache:       serve.NewSolveCache(cfg.SolveCache),
-		started:     time.Now(),
-	}
-	if cfg.Adaptive {
-		c.adapt = adaptive.New(adaptive.Config{Budget: cfg.SLOp99, MaxStale: cfg.MaxStale})
 	}
 	engCfg := engine.Config{
 		Beta: cfg.Beta, BetaSet: cfg.BetaSet, Opt: cfg.Opt,
@@ -358,7 +298,6 @@ func New(cfg Config, in *model.Instance) (*Cluster, error) {
 	if in != nil {
 		c.opt = in.Opt
 	}
-	c.mux = c.routes()
 	return c, nil
 }
 
@@ -409,9 +348,8 @@ func (c *Cluster) rebuildRegistry() {
 	}
 }
 
-// apply is a shard's applyloop.Applier: single-writer batch application
-// plus snapshot publication, identical to the serve layer's, plus the
-// periodic WAL compaction trigger.
+// apply is a shard's applyloop.Applier: single-writer batch application,
+// snapshot publication and the periodic WAL compaction trigger.
 func (sh *shard) apply(muts []engine.Mutation) ([]bool, uint64) {
 	changed := sh.eng.ApplyBatch(muts)
 	sh.epochs.Apply(muts)
@@ -436,6 +374,71 @@ func (sh *shard) apply(muts []engine.Mutation) ([]bool, uint64) {
 
 // Shards returns the shard count.
 func (c *Cluster) Shards() int { return len(c.shards) }
+
+// coordinatorStats is the /v1/stats "cluster" block.
+type coordinatorStats struct {
+	ShardCount          int     `json:"shard_count"`
+	TileSize            float64 `json:"tile_size"`
+	CrossShardMoves     uint64  `json:"cross_shard_moves"`
+	MoveRetirements     uint64  `json:"move_retirements"`
+	MoveRetireFailures  uint64  `json:"move_retire_failures"`
+	EscalatedComponents uint64  `json:"escalated_components"`
+	InteriorComponents  uint64  `json:"interior_components"`
+	CrossShardPairs     int     `json:"cross_shard_pairs"`
+	Assemblies          uint64  `json:"assemblies"`
+	AssemblyReuses      uint64  `json:"assembly_reuses"`
+	ConsistencyFailures uint64  `json:"consistency_failures"`
+}
+
+// Stats implements serve.Backend: one row per shard plus the coordinator
+// block.
+func (c *Cluster) Stats() serve.StateStats {
+	st := serve.StateStats{Beta: c.beta, Rows: make([]serve.StateRow, len(c.shards))}
+	for i, sh := range c.shards {
+		snap := sh.snap.Load()
+		ls := sh.loop.Stats()
+		st.Rows[i] = serve.StateRow{
+			Shard:             i,
+			Version:           snap.Version,
+			Tasks:             snap.Tasks(),
+			Workers:           snap.Workers(),
+			Pairs:             len(snap.Problem.Pairs),
+			QueueLen:          sh.loop.Len(),
+			QueueCap:          sh.loop.Cap(),
+			Enqueued:          ls.Enqueued,
+			Applied:           ls.Applied,
+			Coalesced:         ls.Coalesced,
+			Batches:           ls.Batches,
+			Rebuilds:          sh.rebuilds.Load(),
+			RetrieveMS:        float64(sh.retrieveNS.Load()) / float64(time.Millisecond),
+			RejectedQueueFull: ls.RejectedFull,
+			Durability: serve.NewDurabilityJSON(sh.store,
+				ls.AppendFailed, sh.snapErrors.Load(), sh.recoveredBatches),
+		}
+		st.Pairs += st.Rows[i].Pairs
+	}
+	cross := 0
+	if a := c.asm.Load(); a != nil {
+		// The global pair count (intra + cross) from the latest assembly;
+		// the row sum above counts intra-shard pairs only.
+		st.Pairs = len(a.problem.Pairs)
+		cross = a.crossPairs
+	}
+	st.Coordinator = coordinatorStats{
+		ShardCount:          len(c.shards),
+		TileSize:            c.tiling.TileSize,
+		CrossShardMoves:     c.moves.Load(),
+		MoveRetirements:     c.retirements.Load(),
+		MoveRetireFailures:  c.retireFailures.Load(),
+		EscalatedComponents: c.escalated.Load(),
+		InteriorComponents:  c.interior.Load(),
+		CrossShardPairs:     cross,
+		Assemblies:          c.assemblies.Load(),
+		AssemblyReuses:      c.assemblyReuses.Load(),
+		ConsistencyFailures: c.consistencyFailures.Load(),
+	}
+	return st
+}
 
 // Enqueue routes one mutation to its shard, failing fast on a full queue
 // (applyloop.ErrQueueFull, HTTP 429) or a closed cluster
@@ -598,7 +601,7 @@ func routeRemoval[K comparable](c *Cluster, mut engine.Mutation, reply chan<- ap
 
 // Mutate enqueues the mutations (in order) and blocks until every one is
 // acknowledged or ctx ends — the engine-plane entry point used by tests
-// and the differential harness; the HTTP layer uses Enqueue directly.
+// and the differential harness; the HTTP layer goes through Enqueue.
 func (c *Cluster) Mutate(ctx context.Context, muts ...engine.Mutation) ([]applyloop.Ack, error) {
 	reply := make(chan applyloop.Ack, len(muts))
 	for i, m := range muts {
@@ -664,56 +667,15 @@ func (c *Cluster) awaitMoves(ctx context.Context) error {
 	}
 }
 
-// Handler returns the cluster's HTTP handler (the same /v1 surface as
-// internal/serve, plus per-shard and escalation stats).
-func (c *Cluster) Handler() http.Handler { return c.mux }
-
-// ListenAndServe serves the handler on addr until Shutdown (which returns
-// http.ErrServerClosed here) or a listener error.
-func (c *Cluster) ListenAndServe(addr string) error {
-	hs := &http.Server{Addr: addr, Handler: c.mux, ReadHeaderTimeout: 10 * time.Second}
-	c.httpMu.Lock()
-	if c.closing {
-		c.httpMu.Unlock()
-		return applyloop.ErrClosed
-	}
-	c.http = hs
-	c.httpMu.Unlock()
-	return hs.ListenAndServe()
-}
-
-// Serve is ListenAndServe over an already-bound listener, for callers that
-// need to know the resolved address (e.g. -addr :0) before serving starts.
-func (c *Cluster) Serve(ln net.Listener) error {
-	hs := &http.Server{Handler: c.mux, ReadHeaderTimeout: 10 * time.Second}
-	c.httpMu.Lock()
-	if c.closing {
-		c.httpMu.Unlock()
-		return applyloop.ErrClosed
-	}
-	c.http = hs
-	c.httpMu.Unlock()
-	return hs.Serve(ln)
-}
-
-// Shutdown stops the cluster gracefully: the embedded HTTP server (if any)
-// stops accepting, every shard loop closes and drains completely — every
-// accepted mutation applies — and ctx bounds the whole wait.
+// Shutdown stops the cluster gracefully: every shard loop closes and
+// drains completely — every accepted mutation applies — and the stores
+// close. ctx bounds the whole wait.
 func (c *Cluster) Shutdown(ctx context.Context) error {
-	c.httpMu.Lock()
-	c.closing = true
-	hs := c.http
-	c.httpMu.Unlock()
-
-	var err error
-	if hs != nil {
-		err = hs.Shutdown(ctx)
-	}
 	// Let in-flight cross-shard moves finish while the loops still run:
 	// their retirement removals need live source queues. A move that cannot
 	// finish in time is safe to abandon — the destination copy is durable,
 	// and the next boot's epoch-based rebuild retires the source copy.
-	err = errors.Join(err, c.awaitMoves(ctx))
+	err := c.awaitMoves(ctx)
 	for _, sh := range c.shards {
 		sh.loop.Close()
 	}

@@ -16,6 +16,7 @@ import (
 	"rdbsc/internal/engine"
 	"rdbsc/internal/geo"
 	"rdbsc/internal/model"
+	"rdbsc/internal/serve"
 	"rdbsc/internal/store"
 )
 
@@ -65,7 +66,7 @@ func startDurableCluster(t *testing.T, dir string, shards int) (*Cluster, *httpt
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(cl.Handler())
+	ts := serveHTTP(t, cl, serve.Config{})
 	stopped := false
 	stop := func() {
 		if stopped {

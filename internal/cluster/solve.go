@@ -2,9 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
-	"hash/fnv"
 	"sort"
+	"sync"
 
 	"rdbsc/internal/adaptive"
 	"rdbsc/internal/core"
@@ -12,6 +11,7 @@ import (
 	"rdbsc/internal/engine"
 	"rdbsc/internal/model"
 	"rdbsc/internal/objective"
+	"rdbsc/internal/serve"
 )
 
 // assembled is the coordinator's view of the global problem at one shard
@@ -25,10 +25,11 @@ type assembled struct {
 
 	problem *core.Problem
 	part    *decompose.Partition
-	// shape is the adaptive controller's planning input derived from part;
-	// nil when the adaptive tier is off. Cached here because the assembly
-	// is already keyed on exactly the state the shape depends on.
-	shape *adaptive.Shape
+	// shape is the adaptive controller's planning input derived from part,
+	// built on first use. Memoised here because the assembly is already
+	// keyed on exactly the state the shape depends on.
+	shapeOnce sync.Once
+	shape     *adaptive.Shape
 	// escalated[i] is true when component i's entities span more than one
 	// shard — its pair edges cross a tile boundary, so a shard-local solve
 	// cannot see all of it.
@@ -36,25 +37,6 @@ type assembled struct {
 	nEscalated, nInterior int
 	crossPairs            int
 	staleDuplicates       int // entity IDs seen on >1 shard (move in flight)
-}
-
-// SolveInfo reports the coordinator-plane shape of one solve.
-type SolveInfo struct {
-	// Components partitions found in the assembled global problem.
-	Components int
-	// Escalated counts components spanning >1 shard (solved over the
-	// assembled boundary sub-instance); Interior counts single-shard
-	// components.
-	Escalated int
-	Interior  int
-	// CrossShardPairs is the number of valid pairs whose task and worker
-	// live on different shards.
-	CrossShardPairs int
-	// AssemblyReused is true when the solve ran against a cached assembly
-	// (no shard changed since it was built).
-	AssemblyReused bool
-	// Version is the aggregate engine version (sum of shard versions).
-	Version uint64
 }
 
 // assemble builds (or reuses) the global problem from the current shard
@@ -187,9 +169,6 @@ func (c *Cluster) assemble() (*assembled, bool) {
 
 	a.problem = core.NewProblemWithPairs(in, pairs)
 	a.part = decompose.BuildSized(pairs, len(in.Tasks), len(in.Workers))
-	if c.adapt != nil {
-		a.shape = adaptive.NewShape(a.problem, a.part)
-	}
 
 	// Escalation verdicts: a component is interior iff every entity lives
 	// on one shard. (Entities connected by an intra-shard pair share a
@@ -238,22 +217,46 @@ func (c *Cluster) assemble() (*assembled, bool) {
 // through the exact min/sum merge. The returned result is bit-identical to
 // core.NewSharded(solver).Solve over the same population in canonical pair
 // order.
-func (c *Cluster) Solve(ctx context.Context, solver core.Solver, opts *core.SolveOptions) (*core.Result, SolveInfo, error) {
-	a, reused := c.assemble()
-	return c.solveWith(ctx, a, reused, solver, opts)
+func (c *Cluster) Solve(ctx context.Context, solver core.Solver, opts *core.SolveOptions) (*core.Result, *serve.CoordinatorInfo, error) {
+	return c.View().Solve(ctx, solver, opts)
 }
 
-// solveWith is Solve over an already-assembled global problem (the HTTP
-// layer assembles first so it can consult the solve cache against the exact
-// version vector before committing to a solve).
-func (c *Cluster) solveWith(ctx context.Context, a *assembled, reused bool, solver core.Solver, opts *core.SolveOptions) (*core.Result, SolveInfo, error) {
-	info := SolveInfo{
-		Components:      a.part.Len(),
-		Escalated:       a.nEscalated,
-		Interior:        a.nInterior,
-		CrossShardPairs: a.crossPairs,
-		AssemblyReused:  reused,
-		Version:         sumVersions(a.versions),
+// view is the cluster's serve.View: one assembly pinned for one request.
+// The HTTP layer pins first so it can consult the adaptive plan and the
+// solve cache against the exact version vector and routing generation the
+// solve would run under, before committing to a solve.
+type view struct {
+	c      *Cluster
+	a      *assembled
+	reused bool
+}
+
+// View implements serve.Backend.
+func (c *Cluster) View() serve.View {
+	a, reused := c.assemble()
+	return view{c, a, reused}
+}
+
+func (v view) State() ([]uint64, uint64) { return v.a.versions, v.a.routeGen }
+
+func (v view) Shape() *adaptive.Shape {
+	v.a.shapeOnce.Do(func() { v.a.shape = adaptive.NewShape(v.a.problem, v.a.part) })
+	return v.a.shape
+}
+
+// PerComponent returns s unchanged: the coordinator itself decomposes the
+// assembled problem by connected components and hands each one to the
+// solver — which for the adaptive dispatcher means per-component lane
+// selection — so no core.Sharded wrapping is ever needed.
+func (v view) PerComponent(s core.Solver, required bool) core.Solver { return s }
+
+func (v view) Solve(ctx context.Context, solver core.Solver, opts *core.SolveOptions) (*core.Result, *serve.CoordinatorInfo, error) {
+	c, a := v.c, v.a
+	info := &serve.CoordinatorInfo{
+		EscalatedComponents: a.nEscalated,
+		InteriorComponents:  a.nInterior,
+		CrossShardPairs:     a.crossPairs,
+		AssemblyReused:      v.reused,
 	}
 	c.escalated.Add(uint64(a.nEscalated))
 	c.interior.Add(uint64(a.nInterior))
@@ -325,21 +328,6 @@ func (c *Cluster) checkConsistency(a *assembled, res *core.Result) int {
 
 // Snapshot-plane helpers.
 
-// solveFingerprint condenses a shard version vector plus the routing
-// generation into the solve-cache key hash (FNV-1a). Collisions are
-// harmless: the cache stores — and Get re-verifies — the exact vector.
-func solveFingerprint(versions []uint64, routeGen uint64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range versions {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	binary.LittleEndian.PutUint64(b[:], routeGen)
-	h.Write(b[:])
-	return h.Sum64()
-}
-
 func versionsEqual(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false
@@ -350,14 +338,6 @@ func versionsEqual(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-func sumVersions(vs []uint64) uint64 {
-	var sum uint64
-	for _, v := range vs {
-		sum += v
-	}
-	return sum
 }
 
 func totalPairs(snaps []*engine.Snapshot) int {

@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
+
+	"rdbsc/internal/serve"
 )
 
 // TestClusterSolveCacheInvalidation exercises the cluster-plane cache key:
@@ -14,13 +15,12 @@ import (
 // versions untouched — also misses (a move can strand a stale copy the
 // version vector does not see).
 func TestClusterSolveCacheInvalidation(t *testing.T) {
-	cl, err := New(Config{Shards: 2, Beta: 0.5, BetaSet: true, SolverName: "greedy", SolveCache: 8}, nil)
+	cl, err := New(Config{Shards: 2, Beta: 0.5, BetaSet: true, SolverName: "greedy"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdown(t, cl)
-	ts := httptest.NewServer(cl.Handler())
-	defer ts.Close()
+	ts := serveHTTP(t, cl, serve.Config{SolveCache: 8})
 
 	post := func(path string, body any) map[string]any {
 		t.Helper()

@@ -1,11 +1,18 @@
-// Package cluster is the multi-shard horizontal scale-out of the
-// assignment service: the space is cut into square tiles, tiles are mapped
-// to N shards by consistent hashing of their integer coordinates, and each
-// shard owns its own engine.Engine behind its own single-writer apply loop
-// (internal/applyloop, shared with internal/serve) and copy-on-write
+// Package cluster is the multi-shard state plane of the assignment
+// service. It has no HTTP surface of its own: *Cluster implements
+// serve.Backend, and internal/serve's one set of /v1 handlers drives it
+// exactly as it drives the single-engine backend — Enqueue for mutations,
+// View for an assembled global problem to plan, cache and solve against,
+// Stats for the per-shard rows, Shutdown to drain.
+//
+// The space is cut into square tiles, tiles are mapped to N shards by
+// consistent hashing of their integer coordinates, and each shard owns its
+// own engine.Engine behind its own single-writer apply loop
+// (internal/applyloop, shared with serve.EngineBackend) and copy-on-write
 // snapshot plane. Mutations route by entity location, so the write
 // bandwidth scales with the shard count and each shard's per-batch
-// valid-pair rebuild covers only its own tile set.
+// valid-pair rebuild covers only its own tile set. Cluster.Enqueue is the
+// one way in, and stamps every upsert with its recency epoch.
 //
 // Solves stay exact. The Coordinator assembles the global problem from the
 // shard snapshots — the union of the per-shard pair sets plus the

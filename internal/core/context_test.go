@@ -171,20 +171,3 @@ func TestCompletedSolveReturnsNilError(t *testing.T) {
 		}
 	}
 }
-
-func TestSolveSeededMatchesV2(t *testing.T) {
-	// The deprecated v1 wrapper must be behavior-identical to the v2 call
-	// it wraps.
-	in := randomInstance(rng.New(81), 6, 18)
-	p := NewProblem(in)
-	for _, mk := range []func() Solver{func() Solver { return NewGreedy() }, func() Solver { return NewDC() }} {
-		v1 := SolveSeeded(mk(), p, rng.New(4))
-		v2, err := mk().Solve(context.Background(), p, &SolveOptions{Source: rng.New(4)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v1.Eval.MinRel != v2.Eval.MinRel || v1.Eval.TotalESTD != v2.Eval.TotalESTD {
-			t.Errorf("v1 wrapper diverged: %v vs %v", v1.Eval, v2.Eval)
-		}
-	}
-}

@@ -141,19 +141,3 @@ func interrupted(ctx context.Context) error {
 func IsTerminal(err error) bool {
 	return err != nil && !errors.Is(err, ErrInfeasible) && !errors.Is(err, ErrInterrupted)
 }
-
-// SolveSeeded runs s with the v1 calling convention — a background context
-// and an explicit random source — and panics on error, mirroring the v1
-// Solve(p, src) signature which could not report one (only Exhaustive can
-// fail under a background context, by exceeding its population cap).
-//
-// Deprecated: call s.Solve(ctx, p, &SolveOptions{Source: src}) instead; it
-// adds cancellation, progress reporting, and error returns. This wrapper is
-// kept for one release to ease migration (see MIGRATION.md).
-func SolveSeeded(s Solver, p *Problem, src *rng.Source) *Result {
-	res, err := s.Solve(context.Background(), p, &SolveOptions{Source: src})
-	if err != nil {
-		panic(fmt.Sprintf("core: %s: %v", s.Name(), err))
-	}
-	return res
-}

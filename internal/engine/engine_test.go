@@ -23,7 +23,10 @@ func TestEngineSolveMatchesDirectSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.SolveSeeded(core.NewGreedy(), core.NewProblem(in), nil)
+	want, err := core.NewGreedy().Solve(context.Background(), core.NewProblem(in), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Eval.MinRel != want.Eval.MinRel || got.Eval.TotalESTD != want.Eval.TotalESTD {
 		t.Errorf("engine solve diverged from direct solve: %v vs %v", got.Eval, want.Eval)
 	}

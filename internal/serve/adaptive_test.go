@@ -23,7 +23,7 @@ func populate(t *testing.T, base string, tasks, workers int) {
 }
 
 func TestAdaptiveSolveWithinBudget(t *testing.T) {
-	_, ts := newTestServer(t, Config{SolverName: "greedy", Adaptive: true, SLOp99: 5 * time.Second})
+	_, _, ts := newTestServer(t, EngineConfig{}, Config{SolverName: "greedy", Adaptive: true, SLOp99: 5 * time.Second})
 	populate(t, ts.URL, 3, 4)
 
 	code, out := doJSON(t, "POST", ts.URL+"/v1/solve", `{"seed":7}`)
@@ -62,8 +62,8 @@ func TestAdaptiveSolveWithinBudget(t *testing.T) {
 // fixed-solver path even on an adaptive server — same answer, field for
 // field, as a server with the tier off.
 func TestAdaptiveExplicitSolverBypass(t *testing.T) {
-	_, adaptiveTS := newTestServer(t, Config{SolverName: "greedy", Adaptive: true, SLOp99: 5 * time.Second})
-	_, plainTS := newTestServer(t, Config{SolverName: "greedy"})
+	_, _, adaptiveTS := newTestServer(t, EngineConfig{}, Config{SolverName: "greedy", Adaptive: true, SLOp99: 5 * time.Second})
+	_, _, plainTS := newTestServer(t, EngineConfig{}, Config{SolverName: "greedy"})
 
 	for _, base := range []string{adaptiveTS.URL, plainTS.URL} {
 		populate(t, base, 4, 6)
@@ -93,75 +93,5 @@ func TestAdaptiveExplicitSolverBypass(t *testing.T) {
 	_, stats := doJSON(t, "GET", plainTS.URL+"/v1/stats", "")
 	if _, present := stats["adaptive"]; present {
 		t.Errorf("non-adaptive server exposes an adaptive stats block")
-	}
-}
-
-// TestAdaptiveDegradeStaleThenShed exercises the overload valve end to end
-// under an impossible budget: the first unnamed solve degrades to the last
-// assignment with a stale_ms stamp, every degraded answer honors the
-// staleness bound, and once the bound passes the server sheds with 429.
-func TestAdaptiveDegradeStaleThenShed(t *testing.T) {
-	const maxStale = 300 * time.Millisecond
-	_, ts := newTestServer(t, Config{
-		SolverName: "greedy",
-		Adaptive:   true,
-		SLOp99:     time.Nanosecond, // every nonempty plan is over budget
-		MaxStale:   maxStale,
-	})
-	populate(t, ts.URL, 3, 4)
-
-	// No solve has completed yet: nothing to serve stale, so the tier sheds
-	// immediately.
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/solve", `{}`); code != 429 {
-		t.Fatalf("over-budget solve with no previous assignment: %d, want 429", code)
-	}
-
-	// An explicit solver bypasses the tier and seeds the last assignment.
-	if code, out := doJSON(t, "POST", ts.URL+"/v1/solve", `{"solver":"greedy","seed":1}`); code != 200 {
-		t.Fatalf("explicit solve: %d %v", code, out)
-	}
-
-	// Poll the degrade path across the staleness window. Every 200 must be
-	// degraded with stale_ms inside the bound; after the bound only 429.
-	maxStaleMS := float64(maxStale) / float64(time.Millisecond)
-	sawDegraded, sawShed := false, false
-	deadline := time.Now().Add(2 * maxStale)
-	for time.Now().Before(deadline) {
-		code, out := doJSON(t, "POST", ts.URL+"/v1/solve", `{}`)
-		switch code {
-		case 200:
-			if out["degraded"] != true {
-				t.Fatalf("over-budget 200 not marked degraded: %v", out)
-			}
-			stale, _ := out["stale_ms"].(float64)
-			if stale > maxStaleMS {
-				t.Fatalf("served stale_ms %.1f exceeds the %v bound", stale, maxStale)
-			}
-			sawDegraded = true
-		case 429:
-			sawShed = true
-		default:
-			t.Fatalf("unexpected status %d: %v", code, out)
-		}
-		time.Sleep(40 * time.Millisecond)
-	}
-	if !sawDegraded {
-		t.Error("never saw a degraded (stale-served) response inside the bound")
-	}
-	if !sawShed {
-		t.Error("never saw a 429 shed after the staleness bound passed")
-	}
-
-	// The controller accounted for both valves.
-	_, stats := doJSON(t, "GET", ts.URL+"/v1/stats", "")
-	ad, ok := stats["adaptive"].(map[string]any)
-	if !ok {
-		t.Fatal("stats has no adaptive block")
-	}
-	if s, _ := ad["stale_served"].(float64); s < 1 {
-		t.Errorf("adaptive.stale_served = %v, want >= 1", ad["stale_served"])
-	}
-	if s, _ := ad["shed"].(float64); s < 2 {
-		t.Errorf("adaptive.shed = %v, want >= 2", ad["shed"])
 	}
 }

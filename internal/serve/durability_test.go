@@ -29,9 +29,13 @@ func startDurable(t *testing.T, dir string, snapEvery int, eng *engine.Engine) (
 	if eng == nil {
 		eng = engine.New(engine.Config{SolverName: "greedy"})
 	}
-	s, err := New(Config{Engine: eng, SolverName: "greedy", Store: fs, SnapshotEvery: snapEvery})
+	b, err := NewEngineBackend(EngineConfig{Engine: eng, Store: fs, SnapshotEvery: snapEvery})
 	if err != nil {
 		fs.Close()
+		t.Fatal(err)
+	}
+	s, err := New(Config{Backend: b, SolverName: "greedy"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -153,8 +157,8 @@ func TestRecoveredStatePreloadConflict(t *testing.T) {
 	}
 	defer fs2.Close()
 	in := gen.Generate(gen.Default().WithScale(5, 10).WithSeed(1))
-	if _, err := New(Config{Engine: engine.NewFromInstance(in, engine.Config{}), Store: fs2}); err == nil {
-		t.Fatal("New accepted recovered state plus a preloaded engine")
+	if _, err := NewEngineBackend(EngineConfig{Engine: engine.NewFromInstance(in, engine.Config{}), Store: fs2}); err == nil {
+		t.Fatal("NewEngineBackend accepted recovered state plus a preloaded engine")
 	}
 }
 
@@ -176,15 +180,7 @@ func (f *failStore) WriteSnapshot(uint64, float64, *model.Instance, store.Entity
 // and dropped — and the failure is visible in the stats.
 func TestAppendFailureIs503(t *testing.T) {
 	boom := errors.New("no space left on device")
-	s, err := New(Config{
-		Engine: engine.New(engine.Config{SolverName: "greedy"}),
-		Store:  &failStore{err: boom},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, _, ts := newTestServer(t, EngineConfig{Store: &failStore{err: boom}}, Config{})
 
 	code, body := doJSON(t, "POST", ts.URL+"/v1/tasks", testTask(1))
 	if code != http.StatusServiceUnavailable {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rdbsc/internal/adaptive"
+	"rdbsc/internal/applyloop"
 	"rdbsc/internal/benchreport"
 	"rdbsc/internal/core"
 	"rdbsc/internal/engine"
@@ -104,8 +105,7 @@ func (w WorkerJSON) ToModel() model.Worker {
 }
 
 // DecodeBody reads the request body as either a single T or a JSON array
-// of T, capped at 8 MiB. Exported for the cluster layer, which accepts the
-// same wire forms.
+// of T, capped at 8 MiB.
 func DecodeBody[T any](r *http.Request) ([]T, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 8<<20))
 	if err != nil {
@@ -129,20 +129,25 @@ func DecodeBody[T any](r *http.Request) ([]T, error) {
 	return []T{one}, nil
 }
 
+// enqueueStatus maps an enqueue failure to its status: 503 once the
+// backend is shutting down, 429 for a full queue.
+func enqueueStatus(err error) int {
+	if errors.Is(err, applyloop.ErrClosed) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusTooManyRequests
+}
+
 // enqueueAndWait queues the mutations and blocks until their batch (or
 // batches — a large request may straddle several) applied, reporting the
 // aggregate. Backpressure surfaces as 429 with the count already accepted
 // (those still apply); a request context that ends first gets 202, since
 // the accepted mutations remain queued and will apply.
-func (s *Server) enqueueAndWait(w http.ResponseWriter, r *http.Request, muts []mutationIntent) {
-	reply := make(chan applyAck, len(muts))
+func (s *Server) enqueueAndWait(w http.ResponseWriter, r *http.Request, muts []engine.Mutation) {
+	reply := make(chan applyloop.Ack, len(muts))
 	for i, m := range muts {
-		if err := s.enqueue(queuedMutation{mut: m.mut, reply: reply}); err != nil {
-			status := http.StatusTooManyRequests
-			if errors.Is(err, ErrShuttingDown) {
-				status = http.StatusServiceUnavailable
-			}
-			writeJSON(w, status, map[string]any{"error": err.Error(), "enqueued": i})
+		if err := s.backend.Enqueue(m, reply); err != nil {
+			writeJSON(w, enqueueStatus(err), map[string]any{"error": err.Error(), "enqueued": i})
 			return
 		}
 	}
@@ -187,24 +192,20 @@ func (s *Server) enqueueAndWait(w http.ResponseWriter, r *http.Request, muts []m
 	})
 }
 
-// mutationIntent pairs a mutation with nothing else for now; a named type
-// keeps enqueueAndWait's signature honest about taking validated intents.
-type mutationIntent struct{ mut engine.Mutation }
-
 func (s *Server) handleUpsertTasks(w http.ResponseWriter, r *http.Request) {
 	tasks, err := DecodeBody[TaskJSON](r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	muts := make([]mutationIntent, 0, len(tasks))
+	muts := make([]engine.Mutation, 0, len(tasks))
 	for _, tj := range tasks {
 		t := tj.ToModel()
 		if err := t.Valid(); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		muts = append(muts, mutationIntent{engine.TaskUpsert(t)})
+		muts = append(muts, engine.TaskUpsert(t))
 	}
 	s.enqueueAndWait(w, r, muts)
 }
@@ -215,14 +216,14 @@ func (s *Server) handleUpsertWorkers(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	muts := make([]mutationIntent, 0, len(workers))
+	muts := make([]engine.Mutation, 0, len(workers))
 	for _, wj := range workers {
 		wk := wj.ToModel()
 		if err := wk.Valid(); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		muts = append(muts, mutationIntent{engine.WorkerUpsert(wk)})
+		muts = append(muts, engine.WorkerUpsert(wk))
 	}
 	s.enqueueAndWait(w, r, muts)
 }
@@ -231,13 +232,9 @@ func (s *Server) handleUpsertWorkers(w http.ResponseWriter, r *http.Request) {
 // present ("removed"). A removal superseded within its batch by a later
 // mutation of the same entity reports "coalesced" instead.
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request, mut engine.Mutation) {
-	reply := make(chan applyAck, 1)
-	if err := s.enqueue(queuedMutation{mut: mut, reply: reply}); err != nil {
-		status := http.StatusTooManyRequests
-		if errors.Is(err, ErrShuttingDown) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+	reply := make(chan applyloop.Ack, 1)
+	if err := s.backend.Enqueue(mut, reply); err != nil {
+		writeError(w, enqueueStatus(err), err)
 		return
 	}
 	select {
@@ -321,6 +318,17 @@ type SolveResponse struct {
 	Assignment      []AssignedPair `json:"assignment"`
 	Stats           core.Stats     `json:"stats"`
 	At              time.Time      `json:"at"`
+	// The coordinator fields are inlined after the rest when the backend is
+	// sharded and absent when it is not.
+	*CoordinatorInfo
+}
+
+func sumVersions(versions []uint64) uint64 {
+	var sum uint64
+	for _, v := range versions {
+		sum += v
+	}
+	return sum
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -336,9 +344,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The snapshot is pinned for the whole solve: batches applied while the
-	// solver runs replace the published pointer but never touch this view.
-	snap := *s.snap.Load()
+	// The view is pinned for the whole request: batches applied while the
+	// solver runs publish new views but never touch this one, and the
+	// adaptive plan, the cache probe and the solve all see the same state.
+	view := s.backend.View()
+	versions, routeGen := view.State()
+	version := sumVersions(versions)
 
 	// The adaptive tier handles only requests that name no solver: an
 	// explicit solver is a contract (the client asked for that algorithm's
@@ -347,26 +358,23 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var dispatcher *adaptive.Solver
 	adaptiveActive := s.adapt != nil && req.Solver == ""
 	if adaptiveActive {
-		plan := s.adapt.ctrl.PlanRequest(s.adapt.shapeFor(&snap))
-		if plan.OverBudget {
+		if s.adapt.PlanRequest(view.Shape()).OverBudget {
 			// Even the minimum-effort plan is predicted over budget: serve
 			// the last assignment within the staleness bound, shed with 429
 			// only when none exists — admission control as final backstop.
-			if resp, ok := s.adapt.degradeResponse(s.lastRes.Load(), snap.Version); ok {
-				s.adapt.ctrl.NoteDegraded(true)
+			if resp, ok := s.degradeResponse(version); ok {
+				s.adapt.NoteDegraded(true)
 				writeJSON(w, http.StatusOK, resp)
 				return
 			}
-			s.adapt.ctrl.NoteDegraded(false)
+			s.adapt.NoteDegraded(false)
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests,
 				errors.New("predicted solve time exceeds the SLO budget and no assignment within the staleness bound exists"))
 			return
 		}
-		dispatcher = adaptive.NewSolver(s.adapt.ctrl)
-		// Sharded dispatch: the wrapper hands each connected component to
-		// the dispatcher, which routes it to its own lane.
-		solver = core.NewSharded(dispatcher)
+		dispatcher = adaptive.NewSolver(s.adapt)
+		solver = dispatcher
 	} else {
 		name := req.Solver
 		if name == "" {
@@ -374,19 +382,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		// A fresh solver instance per request: registry factories are cheap
 		// and nothing is shared across concurrent solves.
-		named, err := core.NewByName(name)
-		if err != nil {
+		if solver, err = core.NewByName(name); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if _, sharded := named.(*core.Sharded); s.shardSolves && !sharded {
-			// The engine decomposes by connected components; snapshot-plane
-			// solves keep that semantics (minus the engine's cross-batch
-			// result cache, which needs the single-writer plane).
-			named = core.NewSharded(named)
-		}
-		solver = named
 	}
+	// The dispatcher picks a lane per connected component, so it has to be
+	// run per component; a named solver is only when the backend decomposes.
+	solver = view.PerComponent(solver, adaptiveActive)
 
 	timeout := s.cfg.SolveTimeout
 	if req.TimeoutMS > 0 {
@@ -397,8 +400,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	key := SolveCacheKey{Fingerprint: snap.Version, Solver: solver.Name(), Seed: req.Seed}
-	if v, ok := s.cache.Get(key, []uint64{snap.Version}, 0); ok {
+	key := SolveCacheKey{Fingerprint: stateFingerprint(versions, routeGen), Solver: solver.Name(), Seed: req.Seed}
+	if v, ok := s.cache.Get(key, versions, routeGen); ok {
 		resp := *v.(*SolveResponse) // shallow copy; the cached value is never mutated
 		resp.Cached = true
 		s.lastRes.Store(&resp)
@@ -406,14 +409,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := solver.Solve(ctx, snap.Problem, &core.SolveOptions{Seed: req.Seed})
+	res, coord, err := view.Solve(ctx, solver, &core.SolveOptions{Seed: req.Seed})
 	elapsed := time.Since(start)
 
-	if adaptiveActive {
-		// Close the headroom loop on the observed request latency (the
-		// per-lane coefficients were fed per component by the dispatcher).
-		s.adapt.ctrl.ObserveRequest(elapsed)
-	}
 	s.solves.Add(1)
 	partial := errors.Is(err, core.ErrInterrupted)
 	if partial {
@@ -430,10 +428,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.statsMu.Lock()
-	s.solveStats = s.solveStats.Add(res.Stats)
-	s.statsMu.Unlock()
-	s.recordSolveLatency(float64(elapsed) / float64(time.Millisecond))
+	elapsedMS := float64(elapsed) / float64(time.Millisecond)
+	s.recordSolve(res.Stats, elapsedMS)
 
 	pairs := make([]AssignedPair, 0, res.Assignment.Len())
 	res.Assignment.Workers(func(wid model.WorkerID, tid model.TaskID) {
@@ -442,12 +438,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Worker < pairs[j].Worker })
 
 	resp := &SolveResponse{
-		Version:         snap.Version,
+		Version:         version,
 		Solver:          solver.Name(),
 		Seed:            req.Seed,
 		Partial:         partial,
 		Feasible:        len(pairs) > 0,
-		ElapsedMS:       float64(elapsed) / float64(time.Millisecond),
+		ElapsedMS:       elapsedMS,
 		AssignedWorkers: res.Eval.AssignedWorkers,
 		AssignedTasks:   res.Eval.AssignedTasks,
 		MinReliability:  res.Eval.MinRel,
@@ -455,22 +451,51 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Assignment:      pairs,
 		Stats:           res.Stats,
 		At:              time.Now().UTC(),
+		CoordinatorInfo: coord,
 	}
-	if dispatcher != nil {
+	if adaptiveActive {
+		// Close the headroom loop on the observed request latency (the
+		// per-lane coefficients were fed per component by the dispatcher).
+		// Only a solve that produced an answer counts: one that ended in a
+		// terminal error above says nothing about how long solving takes.
+		s.adapt.ObserveRequest(elapsed)
 		resp.Lanes = dispatcher.LaneCounts()
 	}
 	s.lastRes.Store(resp)
 	if err == nil {
 		// Only clean, complete solves are cached; a partial depends on how
 		// far the deadline let the solver run, which is not a state key.
-		s.cache.Put(key, []uint64{snap.Version}, 0, resp)
+		s.cache.Put(key, versions, routeGen, resp)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// degradeResponse renders the graceful-degradation answer from the most
+// recent completed solve: the cached last assignment, stamped with its
+// explicit staleness ("stale_ms", wall time since it was computed) and the
+// degraded marker, plus the current version so clients can see how far
+// behind the assignment is. ok is false when no previous solve exists or
+// the last one is older than the staleness bound — the caller must then
+// shed (429).
+func (s *Server) degradeResponse(currentVersion uint64) (*SolveResponse, bool) {
+	last := s.lastRes.Load()
+	if last == nil {
+		return nil, false
+	}
+	stale := max(time.Since(last.At), 0)
+	if stale > s.adapt.MaxStale() {
+		return nil, false
+	}
+	resp := *last // shallow copy; the stored value is never mutated
+	resp.Degraded = true
+	resp.StaleMS = float64(stale) / float64(time.Millisecond)
+	resp.CurrentVersion = currentVersion
+	return &resp, true
+}
+
 // handleAssignment serves the most recently computed assignment, stamped
-// with the engine version it was solved at and the current version (equal
-// when no batch applied since).
+// with the version it was solved at and the current version (equal when no
+// batch applied since).
 func (s *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
 	last := s.lastRes.Load()
 	if last == nil {
@@ -478,12 +503,23 @@ func (s *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := *last // shallow copy; the stored value is never mutated
-	resp.CurrentVersion = s.snap.Load().Version
+	resp.CurrentVersion = s.backend.Stats().version()
 	writeJSON(w, http.StatusOK, &resp)
 }
 
-// statsResponse is the /v1/stats view: the snapshot's shape, the mutation
-// plane's batching counters, and the solver plane's cumulative core.Stats.
+// version is the aggregate version: the sum over the apply loops.
+func (st StateStats) version() uint64 {
+	var sum uint64
+	for i := range st.Rows {
+		sum += st.Rows[i].Version
+	}
+	return sum
+}
+
+// statsResponse is the /v1/stats view: the state plane's shape and
+// batching counters summed over its apply loops, the solve plane's
+// cumulative counters, and — from a sharded backend only — the per-shard
+// rows and the coordinator block.
 type statsResponse struct {
 	Version uint64  `json:"version"`
 	Tasks   int     `json:"tasks"`
@@ -491,15 +527,20 @@ type statsResponse struct {
 	Pairs   int     `json:"pairs"`
 	Beta    float64 `json:"beta"`
 
-	QueueLen          int     `json:"queue_len"`
-	QueueCap          int     `json:"queue_cap"`
-	Enqueued          uint64  `json:"mutations_enqueued"`
-	Applied           uint64  `json:"mutations_applied"`
-	Coalesced         uint64  `json:"mutations_coalesced"`
-	Batches           uint64  `json:"batches"`
-	Rebuilds          uint64  `json:"rebuilds"`
-	RetrieveMS        float64 `json:"retrieve_ms"`
-	RejectedQueueFull uint64  `json:"rejected_queue_full"`
+	QueueLen  int    `json:"queue_len"`
+	QueueCap  int    `json:"queue_cap"`
+	Enqueued  uint64 `json:"mutations_enqueued"`
+	Applied   uint64 `json:"mutations_applied"`
+	Coalesced uint64 `json:"mutations_coalesced"`
+	Batches   uint64 `json:"batches"`
+	Rebuilds  uint64 `json:"rebuilds"`
+	// RetrieveMS is top-level on a single engine only; a sharded backend
+	// reports it per row, and clients add the two.
+	RetrieveMS        *float64 `json:"retrieve_ms,omitempty"`
+	RejectedQueueFull uint64   `json:"rejected_queue_full"`
+
+	Shards  []StateRow `json:"shards,omitempty"`
+	Cluster any        `json:"cluster,omitempty"`
 
 	Solves      uint64     `json:"solves"`
 	SolveErrors uint64     `json:"solve_errors"`
@@ -520,13 +561,14 @@ type statsResponse struct {
 	// absent when -adaptive is off.
 	Adaptive *adaptive.Stats `json:"adaptive,omitempty"`
 
+	// Durability sums the rows' blocks; backend is row 0's label (the
+	// stores are configured uniformly).
 	Durability DurabilityJSON `json:"durability"`
 
 	UptimeMS float64 `json:"uptime_ms"`
 }
 
-// DurabilityJSON is the stats view of the durability plane. The cluster
-// layer reports one per shard plus an aggregate.
+// DurabilityJSON is the stats view of one store, or of all of them summed.
 type DurabilityJSON struct {
 	Backend           string `json:"backend"`
 	WALAppends        uint64 `json:"wal_appends"`
@@ -540,7 +582,7 @@ type DurabilityJSON struct {
 // NewDurabilityJSON assembles the stats view for one store: the backend
 // label and WAL counters come from the store itself (via the optional
 // Backend/Stats interfaces the built-in backends implement), the failure
-// and recovery counters from the serving layer that wraps it.
+// and recovery counters from the state plane that wraps it.
 func NewDurabilityJSON(st store.Store, appendFailures, snapshotErrors, recoveredBatches uint64) DurabilityJSON {
 	d := DurabilityJSON{
 		Backend:           "custom",
@@ -561,50 +603,67 @@ func NewDurabilityJSON(st store.Store, appendFailures, snapshotErrors, recovered
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.snap.Load()
-	loopStats := s.loop.Stats()
+	st := s.backend.Stats()
+	solverStats, latencies := s.solveSample()
 	cacheStats := s.cache.Stats()
-	s.statsMu.Lock()
-	solverStats := s.solveStats
-	s.statsMu.Unlock()
-	writeJSON(w, http.StatusOK, &statsResponse{
-		Version: snap.Version,
-		Tasks:   snap.Tasks(),
-		Workers: snap.Workers(),
-		Pairs:   len(snap.Problem.Pairs),
-		Beta:    snap.Problem.In.Beta,
-
-		QueueLen:          s.loop.Len(),
-		QueueCap:          s.loop.Cap(),
-		Enqueued:          loopStats.Enqueued,
-		Applied:           loopStats.Applied,
-		Coalesced:         loopStats.Coalesced,
-		Batches:           loopStats.Batches,
-		Rebuilds:          s.rebuilds.Load(),
-		RetrieveMS:        float64(s.retrieveNS.Load()) / float64(time.Millisecond),
-		RejectedQueueFull: loopStats.RejectedFull,
+	resp := &statsResponse{
+		Pairs: st.Pairs,
+		Beta:  st.Beta,
 
 		Solves:         s.solves.Load(),
 		SolveErrors:    s.solveErrors.Load(),
 		Partials:       s.partials.Load(),
 		SolverStats:    solverStats,
-		SolveLatencyMS: benchreport.Summarize(s.latencySample()),
+		SolveLatencyMS: benchreport.Summarize(latencies),
 
 		SolveCacheHits:      cacheStats.Hits,
 		SolveCacheMisses:    cacheStats.Misses,
 		SolveCacheEvictions: cacheStats.Evictions,
 
-		Adaptive: s.adaptiveStats(),
-
-		Durability: NewDurabilityJSON(s.store, loopStats.AppendFailed, s.snapErrors.Load(), s.recoveredBatches),
-
 		UptimeMS: float64(time.Since(s.started)) / float64(time.Millisecond),
-	})
+	}
+	var retrieveMS float64
+	for i := range st.Rows {
+		row := &st.Rows[i]
+		if i == 0 {
+			resp.Durability.Backend = row.Durability.Backend
+		}
+		resp.Durability.WALAppends += row.Durability.WALAppends
+		resp.Durability.WALSyncs += row.Durability.WALSyncs
+		resp.Durability.WALAppendFailures += row.Durability.WALAppendFailures
+		resp.Durability.Snapshots += row.Durability.Snapshots
+		resp.Durability.SnapshotErrors += row.Durability.SnapshotErrors
+		resp.Durability.RecoveredBatches += row.Durability.RecoveredBatches
+		resp.Version += row.Version
+		resp.Tasks += row.Tasks
+		resp.Workers += row.Workers
+		resp.QueueLen += row.QueueLen
+		resp.QueueCap += row.QueueCap
+		resp.Enqueued += row.Enqueued
+		resp.Applied += row.Applied
+		resp.Coalesced += row.Coalesced
+		resp.Batches += row.Batches
+		resp.Rebuilds += row.Rebuilds
+		resp.RejectedQueueFull += row.RejectedQueueFull
+		retrieveMS += row.RetrieveMS
+	}
+	if st.Coordinator != nil {
+		resp.Shards, resp.Cluster = st.Rows, st.Coordinator
+	} else {
+		resp.RetrieveMS = &retrieveMS
+	}
+	if s.adapt != nil {
+		ad := s.adapt.StatsSnapshot()
+		resp.Adaptive = &ad
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":      true,
-		"version": s.snap.Load().Version,
-	})
+	st := s.backend.Stats()
+	out := map[string]any{"ok": true, "version": st.version()}
+	if st.Coordinator != nil {
+		out["shards"] = len(st.Rows)
+	}
+	writeJSON(w, http.StatusOK, out)
 }

@@ -1,30 +1,35 @@
-// Package serve turns an engine.Engine into a concurrent assignment
-// service. The engine itself is not safe for concurrent use, so the server
-// splits the work between two planes:
+// Package serve is the repository's one HTTP layer: the /v1 mux, the
+// mutation, solve, assignment, stats and healthz handlers, the solve
+// cache, the adaptive SLO controller wiring and the listener lifecycle. It
+// is written against the small Backend interface (backend.go) and does not
+// know how state is held behind it. Two state planes implement Backend:
 //
-//   - a single-writer apply loop (internal/applyloop, shared with the
-//     multi-shard internal/cluster) owns the engine and is the only
-//     goroutine that ever touches it. Mutations (task/worker upserts and
-//     removals) arrive through a bounded queue, are drained in batches,
-//     coalesced (only the last mutation per entity touches the grid index),
-//     and applied through Engine.ApplyBatch under one version bump — so the
-//     valid pairs are re-derived at most once per batch, not once per
-//     mutation. After each batch the loop publishes a fresh
-//     engine.Snapshot through an atomic pointer.
+//   - EngineBackend (engine.go), the single-engine plane. An engine is not
+//     safe for concurrent use, so a single-writer apply loop
+//     (internal/applyloop) owns it. Mutations arrive through a bounded
+//     queue, are drained in batches, coalesced (only the last mutation per
+//     entity touches the grid index) and applied through Engine.ApplyBatch
+//     under one version bump, so the valid pairs are re-derived at most
+//     once per batch. After each batch the loop publishes a fresh
+//     engine.Snapshot through an atomic pointer, and that snapshot is the
+//     view solves pin.
 //
-//   - solve and read requests never touch the engine: they load the most
-//     recently published snapshot and run against its immutable problem.
-//     A solve that started before a batch keeps its snapshot for its whole
-//     run (the engine replaces, never edits, prepared problems), so it can
-//     never observe a half-applied batch — snapshot isolation by
-//     copy-on-write hand-off.
+//   - cluster.Cluster (internal/cluster), N spatially tiled engines, each
+//     behind its own apply loop, whose view is the coordinator's assembled
+//     global problem.
 //
-// Backpressure is explicit: when the mutation queue is full, enqueues fail
-// and the HTTP layer answers 429 Too Many Requests. Every solve runs under
-// a per-request deadline mapped to its context; when the deadline expires
+// Either way solve and read requests never touch an engine: they pin the
+// backend's current view and run against its immutable problem. A solve
+// that started before a batch keeps its view for its whole run (engines
+// replace, never edit, prepared problems), so it can never observe a
+// half-applied batch — snapshot isolation by copy-on-write hand-off.
+//
+// Backpressure is explicit: when a mutation queue is full, enqueues fail
+// and the handler answers 429 Too Many Requests. Every solve runs under a
+// per-request deadline mapped to its context; when the deadline expires
 // the solver's best-so-far partial assignment is returned, flagged as
-// partial. Shutdown stops intake first, then drains the queue completely
-// before the apply loop exits, so every accepted mutation is applied.
+// partial. Shutdown stops the listener first, then has the backend close
+// intake and drain, so every accepted mutation is applied.
 //
 // See handlers.go for the HTTP/JSON surface (POST/DELETE /v1/tasks and
 // /v1/workers, POST /v1/solve, GET /v1/assignment, GET /v1/stats,
@@ -41,52 +46,30 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rdbsc/internal/adaptive"
 	"rdbsc/internal/applyloop"
 	"rdbsc/internal/core"
-	"rdbsc/internal/engine"
-	"rdbsc/internal/store"
 )
 
 // Config parameterizes a Server.
 type Config struct {
-	// Engine is the engine the server drives. Required. The server's apply
-	// loop takes ownership: after New, no other goroutine may call Engine
-	// methods.
-	Engine *engine.Engine
+	// Backend is the state plane the server fronts. Required. The server
+	// owns it from here on: Shutdown drains and closes it.
+	Backend Backend
 	// SolverName selects the default solver for /v1/solve requests that
 	// name none, resolved through the core registry per request (solver
 	// instances are not shared across concurrent solves). Default "dc".
 	SolverName string
-	// QueueDepth bounds the mutation queue; a full queue rejects enqueues
-	// (HTTP 429). Default 1024.
-	QueueDepth int
-	// BatchMax caps how many queued mutations one batch drains. Default 256.
-	BatchMax int
-	// BatchLinger is how long the apply loop waits for more mutations after
-	// draining the queue dry, to widen batches under bursty load. Default 0
-	// (apply immediately whatever is pending).
-	BatchLinger time.Duration
 	// SolveTimeout is both the default and the upper bound for per-request
 	// solve deadlines (requests may ask for less via timeout_ms, never
 	// more). Default 30s.
 	SolveTimeout time.Duration
 	// SolveCache is the capacity of the cross-request solve cache: completed
-	// solves are cached under (snapshot version, solver, seed) and replayed
-	// verbatim while no mutation batch has applied since. Versions only move
+	// solves are cached under (view state, solver, seed) and replayed
+	// verbatim while the backend's state has not moved. Versions only move
 	// forward, so a cached answer is always bit-identical to re-solving.
 	// Default 0 (disabled).
 	SolveCache int
-	// Store is the durability backend behind the apply loop: every
-	// coalesced batch is appended to it before it is applied, and recovery
-	// replays it into the engine before the server accepts traffic. Default
-	// store.NewMemory() (nothing persists — the historical behavior). When
-	// the store holds recovered state the Engine must be empty; a
-	// bulk-loaded engine paired with a fresh store is seeded into it as the
-	// boot snapshot.
-	Store store.Store
-	// SnapshotEvery compacts the WAL into a full-state snapshot after every
-	// N applied batches (0 = never; the WAL then grows until shutdown).
-	SnapshotEvery int
 	// Adaptive enables the latency-SLO solve tier (internal/adaptive):
 	// /v1/solve requests that name no explicit solver are routed per
 	// connected component to a lane picked to fit SLOp99, and over-budget
@@ -108,17 +91,8 @@ func (c Config) withDefaults() Config {
 	if c.SolverName == "" {
 		c.SolverName = "dc"
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 256
-	}
 	if c.SolveTimeout <= 0 {
 		c.SolveTimeout = 30 * time.Second
-	}
-	if c.Store == nil {
-		c.Store = store.NewMemory()
 	}
 	if c.Adaptive {
 		if c.SLOp99 <= 0 {
@@ -131,80 +105,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Errors mapped to HTTP statuses by the handler layer. They are the apply
-// loop's own sentinels (one backpressure vocabulary across serve and
-// cluster), re-exported under the names this package has always used.
-var (
-	// ErrQueueFull rejects an enqueue when the mutation queue is at
-	// capacity (HTTP 429).
-	ErrQueueFull = applyloop.ErrQueueFull
-	// ErrShuttingDown rejects an enqueue after Shutdown began (HTTP 503).
-	ErrShuttingDown = applyloop.ErrClosed
-)
-
-// queuedMutation is one mutation in flight, with an optional reply channel
-// (buffered by the enqueuer; the apply loop never blocks on it).
-type queuedMutation struct {
-	mut   engine.Mutation
-	reply chan<- applyloop.Ack
-}
-
-// applyAck reports one mutation's fate after its batch was applied.
-type applyAck = applyloop.Ack
-
-// Server is the concurrent assignment service. Construct with New (which
-// starts the apply loop), expose Handler over HTTP or call ListenAndServe,
-// and stop with Shutdown.
+// Server is the assignment service's HTTP front end. Construct with New,
+// expose Handler under a custom http.Server or call Serve, and stop with
+// Shutdown.
 type Server struct {
-	cfg   Config
-	eng   *engine.Engine
-	mux   *http.ServeMux
-	loop  *applyloop.Loop
-	store store.Store
+	cfg     Config
+	backend Backend
+	mux     *http.ServeMux
 
-	// batchesSinceSnap counts applied batches toward the next compaction;
-	// touched only on the apply loop goroutine.
-	batchesSinceSnap int
-	// recoveredBatches is how many WAL batches boot recovery replayed;
-	// written once before the loop starts, read-only afterwards.
-	recoveredBatches uint64
-
-	mu      sync.RWMutex // guards closing and http against Shutdown races
+	mu      sync.Mutex // guards closing and http against Shutdown races
 	closing bool
 	http    *http.Server
 
-	snap    atomic.Pointer[engine.Snapshot]
 	lastRes atomic.Pointer[SolveResponse] // most recent completed solve
 	cache   *SolveCache                   // nil when Config.SolveCache == 0
-
-	// shardSolves wraps snapshot-plane solvers in component decomposition,
-	// mirroring an engine built with Config.Decompose.
-	shardSolves bool
-
-	// adapt carries the adaptive solve tier's controller and shape cache;
-	// nil when Config.Adaptive is off.
-	adapt *adaptiveState
+	adapt   *adaptive.Controller          // nil when Config.Adaptive is off
 
 	started time.Time
 	counters
-
-	// testStallApply, when non-nil, runs on the apply loop after it wakes
-	// for a batch's first mutation and before it drains the rest — tests
-	// block here to build deterministic batches. Never set in production.
-	testStallApply func()
 }
 
-// counters are the solver-plane diagnostics behind /v1/stats (the mutation
-// plane's counters live in the apply loop). rebuilds/retrieveNS are updated
-// on the apply loop only; the core.Stats aggregate needs a mutex (it is a
-// struct fold, not a counter).
+// counters are the solve-plane diagnostics behind /v1/stats (the state
+// plane's counters come from Backend.Stats). The core.Stats aggregate
+// needs a mutex (it is a struct fold, not a counter).
 type counters struct {
-	rebuilds    atomic.Uint64 // batches whose snapshot re-derived the pairs
-	retrieveNS  atomic.Int64  // cumulative pair-retrieval time
 	solves      atomic.Uint64 // /v1/solve requests that ran a solver
 	solveErrors atomic.Uint64 // solves that ended in a terminal error
 	partials    atomic.Uint64 // solves interrupted by their deadline
-	snapErrors  atomic.Uint64 // periodic WAL compactions that failed
 
 	statsMu    sync.Mutex
 	solveStats core.Stats // cumulative per-solve diagnostics
@@ -216,177 +143,71 @@ type counters struct {
 	latN       int // total recorded (ring index = latN % len)
 }
 
-// recordSolveLatency appends one solve's wall time to the latency ring.
-func (c *counters) recordSolveLatency(ms float64) {
+// recordSolve folds one answered solve into the cumulative solver stats
+// and the latency ring.
+func (c *counters) recordSolve(st core.Stats, ms float64) {
 	c.statsMu.Lock()
+	c.solveStats = c.solveStats.Add(st)
 	c.solveLatMS[c.latN%len(c.solveLatMS)] = ms
 	c.latN++
 	c.statsMu.Unlock()
 }
 
-// latencySample copies the recorded latencies out of the ring.
-func (c *counters) latencySample() []float64 {
+// solveSample copies the cumulative solver stats and the recorded
+// latencies out.
+func (c *counters) solveSample() (core.Stats, []float64) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
-	n := c.latN
-	if n > len(c.solveLatMS) {
-		n = len(c.solveLatMS)
-	}
-	return append([]float64(nil), c.solveLatMS[:n]...)
+	n := min(c.latN, len(c.solveLatMS))
+	return c.solveStats, append([]float64(nil), c.solveLatMS[:n]...)
 }
 
-// New validates the configuration, publishes the initial snapshot, starts
-// the apply loop, and returns the server. The engine must not be used by
-// any other goroutine afterwards.
+// New validates the configuration and returns the server over cfg.Backend.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Engine == nil {
-		return nil, errors.New("serve: Config.Engine is required")
+	if cfg.Backend == nil {
+		return nil, errors.New("serve: Config.Backend is required")
 	}
 	if _, err := core.NewByName(cfg.SolverName); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Server{
 		cfg:     cfg,
-		eng:     cfg.Engine,
-		store:   cfg.Store,
+		backend: cfg.Backend,
 		cache:   NewSolveCache(cfg.SolveCache),
 		started: time.Now(),
-		// Read once here, not per request: after the apply loop starts, the
-		// engine belongs to it alone. A Decompose engine keeps its sharded
-		// semantics on the snapshot plane via core.Sharded (the cross-batch
-		// per-component result cache stays engine-plane only).
-		shardSolves: cfg.Engine.Decomposes(),
 	}
 	if cfg.Adaptive {
-		s.adapt = newAdaptiveState(cfg.SLOp99, cfg.MaxStale)
+		s.adapt = adaptive.New(adaptive.Config{Budget: cfg.SLOp99, MaxStale: cfg.MaxStale})
 	}
-	// Recovery runs before the apply loop starts and before the first
-	// snapshot is published, so no request can ever observe the pre-replay
-	// state. A recovered store and a preloaded engine are mutually
-	// exclusive — merging them would fabricate a state neither run had.
-	rs, err := cfg.Store.Recover()
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	nt, nw := s.eng.Len()
-	switch {
-	case !rs.Empty():
-		if nt > 0 || nw > 0 {
-			return nil, fmt.Errorf("serve: store holds recovered state but the engine is preloaded (%d tasks, %d workers); drop the preload or the data directory", nt, nw)
-		}
-		batches, _, err := store.Replay(rs, s.eng)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		s.recoveredBatches = uint64(batches)
-	case nt > 0 || nw > 0:
-		// Fresh store under a bulk-loaded engine: persist the load as the
-		// boot snapshot, or a crash before the first compaction would
-		// silently drop it.
-		// The serve plane never stamps recency epochs (single shard, no
-		// cross-shard moves), so the snapshot carries none.
-		if err := cfg.Store.WriteSnapshot(s.eng.Version(), s.eng.GridEta(), s.eng.Instance(), store.EntityEpochs{}); err != nil {
-			return nil, fmt.Errorf("serve: seeding boot snapshot: %w", err)
-		}
-	}
-	// The apply loop has not started yet, so this Snapshot call is still
-	// single-threaded; from here on only the loop touches the engine.
-	snap := s.eng.Snapshot()
-	s.snap.Store(&snap)
 	s.mux = s.routes()
-	loop, err := applyloop.New(applyloop.Config{
-		QueueDepth:  cfg.QueueDepth,
-		BatchMax:    cfg.BatchMax,
-		BatchLinger: cfg.BatchLinger,
-		Apply:       s.applyToEngine,
-		Append:      cfg.Store.AppendBatch,
-		StallForTest: func() {
-			if s.testStallApply != nil {
-				s.testStallApply()
-			}
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	s.loop = loop
 	return s, nil
-}
-
-// applyToEngine is the server's applyloop.Applier: it runs on the apply
-// loop — the single writer — applies the coalesced batch under one engine
-// version bump, and publishes the resulting snapshot. Snapshot re-derives
-// the valid pairs here, on the apply loop, so solve requests always find a
-// prepared problem and never pay the rebuild.
-func (s *Server) applyToEngine(muts []engine.Mutation) ([]bool, uint64) {
-	changed := s.eng.ApplyBatch(muts)
-	snap := s.eng.Snapshot()
-	s.snap.Store(&snap)
-	if snap.Rebuilt {
-		s.rebuilds.Add(1)
-		s.retrieveNS.Add(int64(snap.Retrieve))
-	}
-	if s.cfg.SnapshotEvery > 0 {
-		if s.batchesSinceSnap++; s.batchesSinceSnap >= s.cfg.SnapshotEvery {
-			s.batchesSinceSnap = 0
-			// A failed compaction is not data loss — the WAL still holds
-			// everything — so it is counted, not fatal.
-			if err := s.store.WriteSnapshot(snap.Version, s.eng.GridEta(), s.eng.Instance(), store.EntityEpochs{}); err != nil {
-				s.snapErrors.Add(1)
-			}
-		}
-	}
-	return changed, snap.Version
 }
 
 // Handler returns the server's HTTP handler, for mounting under a custom
 // http.Server or a test server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Snapshot returns the most recently published engine snapshot. Safe for
-// concurrent use; the returned view is immutable.
-func (s *Server) Snapshot() engine.Snapshot { return *s.snap.Load() }
-
-// enqueue hands one mutation to the apply loop, failing fast on a full
-// queue or a closing server.
-func (s *Server) enqueue(qm queuedMutation) error {
-	return s.loop.Enqueue(qm.mut, qm.reply)
-}
-
-// ListenAndServe serves the handler on addr until Shutdown (which returns
-// http.ErrServerClosed here) or a listener error.
-func (s *Server) ListenAndServe(addr string) error {
-	hs := &http.Server{Addr: addr, Handler: s.mux, ReadHeaderTimeout: 10 * time.Second}
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return ErrShuttingDown
-	}
-	s.http = hs
-	s.mu.Unlock()
-	return hs.ListenAndServe()
-}
-
-// Serve is ListenAndServe over an already-bound listener, for callers that
-// need to know the resolved address (e.g. -addr :0) before serving starts.
+// Serve serves the handler on an already-bound listener (so callers know
+// the resolved address, e.g. -addr :0, before serving starts) until
+// Shutdown, which returns http.ErrServerClosed here, or a listener error.
 func (s *Server) Serve(ln net.Listener) error {
 	hs := &http.Server{Handler: s.mux, ReadHeaderTimeout: 10 * time.Second}
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
-		return ErrShuttingDown
+		return applyloop.ErrClosed
 	}
 	s.http = hs
 	s.mu.Unlock()
 	return hs.Serve(ln)
 }
 
-// Shutdown stops the server gracefully: new mutations are rejected with
-// ErrShuttingDown (503), the embedded HTTP server (if ListenAndServe was
-// used) stops accepting and waits for in-flight handlers — including those
-// blocked on their batch's application — and the apply loop drains every
-// queued mutation before exiting. ctx bounds the wait.
+// Shutdown stops the server gracefully: the embedded HTTP server (if Serve
+// was used) stops accepting and waits for in-flight handlers — including
+// those blocked on their batch's application — and then the backend
+// rejects new mutations (503), applies every queued one and closes its
+// stores. ctx bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closing = true
@@ -397,15 +218,5 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if hs != nil {
 		err = hs.Shutdown(ctx)
 	}
-	s.loop.Close()
-	select {
-	case <-s.loop.Drained():
-	case <-ctx.Done():
-		// The undrained loop may still be appending; leave the store open
-		// rather than yank the WAL from under it.
-		return errors.Join(err, ctx.Err())
-	}
-	// The loop has drained, so no appender is alive; closing the store
-	// group-commits any unsynced tail.
-	return errors.Join(err, s.store.Close())
+	return errors.Join(err, s.backend.Shutdown(ctx))
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rdbsc/internal/applyloop"
 	"rdbsc/internal/core"
 	"rdbsc/internal/engine"
 	"rdbsc/internal/gen"
@@ -65,11 +66,18 @@ func testWorker(id int) string {
 	return fmt.Sprintf(`{"id":%d,"x":0.4,"y":0.4,"speed":1,"confidence":0.9}`, id)
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestServer boots the HTTP layer over a single-engine backend (a fresh
+// empty engine unless ecfg names one) behind an httptest server.
+func newTestServer(t *testing.T, ecfg EngineConfig, cfg Config) (*Server, *EngineBackend, *httptest.Server) {
 	t.Helper()
-	if cfg.Engine == nil {
-		cfg.Engine = engine.New(engine.Config{SolverName: "greedy"})
+	if ecfg.Engine == nil {
+		ecfg.Engine = engine.New(engine.Config{SolverName: "greedy"})
 	}
+	b, err := NewEngineBackend(ecfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Backend = b
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +89,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		defer cancel()
 		_ = s.Shutdown(ctx)
 	})
-	return s, ts
+	return s, b, ts
 }
 
 // tryJSON performs a request and decodes the JSON response; safe to call
@@ -116,76 +124,6 @@ func doJSON(t *testing.T, method, url, body string) (int, map[string]any) {
 	return code, out
 }
 
-func TestServerEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{SolverName: "greedy"})
-
-	code, body := doJSON(t, "POST", ts.URL+"/v1/tasks", testTask(1))
-	if code != http.StatusOK || body["changed"].(float64) != 1 {
-		t.Fatalf("single task upsert: %d %v", code, body)
-	}
-	code, body = doJSON(t, "POST", ts.URL+"/v1/tasks", "["+testTask(2)+","+testTask(3)+"]")
-	if code != http.StatusOK || body["applied"].(float64) != 2 {
-		t.Fatalf("task list upsert: %d %v", code, body)
-	}
-	code, body = doJSON(t, "POST", ts.URL+"/v1/workers",
-		"["+testWorker(1)+","+testWorker(2)+","+testWorker(3)+","+testWorker(4)+"]")
-	if code != http.StatusOK || body["changed"].(float64) != 4 {
-		t.Fatalf("worker list upsert: %d %v", code, body)
-	}
-
-	code, body = doJSON(t, "POST", ts.URL+"/v1/solve", `{"solver":"greedy","seed":3}`)
-	if code != http.StatusOK {
-		t.Fatalf("solve: %d %v", code, body)
-	}
-	if body["feasible"] != true || body["partial"] != false {
-		t.Fatalf("solve should be feasible and complete: %v", body)
-	}
-	assigned := body["assignment"].([]any)
-	if len(assigned) == 0 {
-		t.Fatal("solve returned an empty assignment")
-	}
-	solveVersion := body["version"].(float64)
-
-	code, body = doJSON(t, "GET", ts.URL+"/v1/assignment", "")
-	if code != http.StatusOK {
-		t.Fatalf("assignment: %d %v", code, body)
-	}
-	if body["version"].(float64) != solveVersion || body["current_version"].(float64) != solveVersion {
-		t.Fatalf("assignment version mismatch: %v", body)
-	}
-	if len(body["assignment"].([]any)) != len(assigned) {
-		t.Fatal("stored assignment diverged from the solve response")
-	}
-
-	code, body = doJSON(t, "DELETE", ts.URL+"/v1/workers/4", "")
-	if code != http.StatusOK || body["removed"] != true {
-		t.Fatalf("remove worker: %d %v", code, body)
-	}
-	code, body = doJSON(t, "DELETE", ts.URL+"/v1/workers/99", "")
-	if code != http.StatusOK || body["removed"] != false {
-		t.Fatalf("remove absent worker: %d %v", code, body)
-	}
-
-	code, body = doJSON(t, "GET", ts.URL+"/v1/stats", "")
-	if code != http.StatusOK {
-		t.Fatalf("stats: %d %v", code, body)
-	}
-	if body["tasks"].(float64) != 3 || body["workers"].(float64) != 3 {
-		t.Fatalf("stats population wrong: %v", body)
-	}
-	if body["batches"].(float64) == 0 || body["solves"].(float64) != 1 {
-		t.Fatalf("stats counters wrong: %v", body)
-	}
-	if body["solver_stats"].(map[string]any)["Rounds"].(float64) == 0 {
-		t.Fatalf("cumulative solver stats empty: %v", body)
-	}
-
-	code, body = doJSON(t, "GET", ts.URL+"/healthz", "")
-	if code != http.StatusOK || body["ok"] != true {
-		t.Fatalf("healthz: %d %v", code, body)
-	}
-}
-
 // TestDecomposeEngineShardsServeSolves pins that a Decompose engine keeps
 // its component decomposition on the snapshot plane: serve-layer solves go
 // through core.Sharded, and the exhaustive population cap surfaces as 422,
@@ -193,7 +131,7 @@ func TestServerEndToEnd(t *testing.T) {
 func TestDecomposeEngineShardsServeSolves(t *testing.T) {
 	islands := gen.GenerateIslands(gen.Default().WithScale(24, 48).WithSeed(9), 4)
 	eng := engine.NewFromInstance(islands, engine.Config{SolverName: "greedy", Decompose: true})
-	s, ts := newTestServer(t, Config{Engine: eng, SolverName: "greedy"})
+	s, _, ts := newTestServer(t, EngineConfig{Engine: eng}, Config{SolverName: "greedy"})
 
 	code, body := doJSON(t, "POST", ts.URL+"/v1/solve", `{"seed":2}`)
 	if code != http.StatusOK {
@@ -226,19 +164,19 @@ func TestDecomposeEngineShardsServeSolves(t *testing.T) {
 // the engine — matching /v1/stats mutations_applied. The batch linger keeps
 // both duplicates in one batch deterministically.
 func TestUpsertResponseCoalescedAccounting(t *testing.T) {
-	s, ts := newTestServer(t, Config{BatchLinger: 100 * time.Millisecond})
+	_, b, ts := newTestServer(t, EngineConfig{BatchLinger: 100 * time.Millisecond}, Config{})
 	code, body := doJSON(t, "POST", ts.URL+"/v1/workers", "["+testWorker(5)+","+testWorker(5)+"]")
 	if code != http.StatusOK || body["accepted"].(float64) != 2 ||
 		body["applied"].(float64) != 1 || body["coalesced"].(float64) != 1 {
 		t.Fatalf("coalesced upsert accounting: %d %v", code, body)
 	}
-	if got := s.loop.Stats().Applied; got != 1 {
+	if got := b.loop.Stats().Applied; got != 1 {
 		t.Fatalf("stats applied = %d, want 1 (matching the response's applied field)", got)
 	}
 }
 
 func TestServerRejectsBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, _, ts := newTestServer(t, EngineConfig{}, Config{})
 	for _, tc := range []struct {
 		method, path, body string
 	}{
@@ -261,7 +199,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 func TestBatchCoalescingSingleBump(t *testing.T) {
 	release := make(chan struct{})
 	eng := engine.New(engine.Config{SolverName: "greedy"})
-	s, err := New(Config{Engine: eng})
+	s, err := NewEngineBackend(EngineConfig{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +211,10 @@ func TestBatchCoalescingSingleBump(t *testing.T) {
 	}()
 
 	v0 := s.Snapshot().Version
-	reply := make(chan applyAck, 10)
+	reply := make(chan applyloop.Ack, 10)
 	enq := func(m engine.Mutation) {
 		t.Helper()
-		if err := s.enqueue(queuedMutation{mut: m, reply: reply}); err != nil {
+		if err := s.Enqueue(m, reply); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +227,7 @@ func TestBatchCoalescingSingleBump(t *testing.T) {
 	enq(engine.WorkerUpsert(model.Worker{ID: 7, Loc: geo.Pt(0.4, 0.4), Speed: 1, Dir: geo.FullCircle, Confidence: 0.9}))
 	close(release)
 
-	var acks []applyAck
+	var acks []applyloop.Ack
 	for i := 0; i < 10; i++ {
 		select {
 		case a := <-reply:
@@ -331,11 +269,7 @@ func TestBatchCoalescingSingleBump(t *testing.T) {
 func TestQueueFullBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	eng := engine.New(engine.Config{SolverName: "greedy"})
-	s, err := New(Config{Engine: eng, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, s, ts := newTestServer(t, EngineConfig{QueueDepth: 4}, Config{})
 	s.testStallApply = func() {
 		select {
 		case entered <- struct{}{}:
@@ -343,28 +277,21 @@ func TestQueueFullBackpressure(t *testing.T) {
 		}
 		<-release
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
 
 	mk := func(id int) engine.Mutation {
 		return engine.TaskUpsert(model.Task{ID: model.TaskID(id), Loc: geo.Pt(0.5, 0.5), Start: 0, End: 10})
 	}
 	// One mutation wakes (and parks) the loop; four more fill the queue.
-	if err := s.enqueue(queuedMutation{mut: mk(0)}); err != nil {
+	if err := s.Enqueue(mk(0), nil); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	for i := 1; i <= 4; i++ {
-		if err := s.enqueue(queuedMutation{mut: mk(i)}); err != nil {
+		if err := s.Enqueue(mk(i), nil); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
 	}
-	if err := s.enqueue(queuedMutation{mut: mk(5)}); err != ErrQueueFull {
+	if err := s.Enqueue(mk(5), nil); err != applyloop.ErrQueueFull {
 		t.Fatalf("over-capacity enqueue: err = %v, want ErrQueueFull", err)
 	}
 	code, body := doJSON(t, "POST", ts.URL+"/v1/tasks", testTask(6))
@@ -389,7 +316,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 // and verifies the interrupted partial result comes back flagged, not as
 // an error.
 func TestSolveDeadlinePartial(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, _, ts := newTestServer(t, EngineConfig{}, Config{})
 	start := time.Now()
 	code, body := doJSON(t, "POST", ts.URL+"/v1/solve", `{"solver":"test-sleep","timeout_ms":50}`)
 	if code != http.StatusOK {
@@ -413,7 +340,7 @@ func TestSnapshotIsolationAcrossBatches(t *testing.T) {
 	eng := engine.New(engine.Config{SolverName: "greedy"})
 	eng.UpsertTask(model.Task{ID: 1, Loc: geo.Pt(0.5, 0.5), Start: 0, End: 10})
 	eng.UpsertWorker(model.Worker{ID: 1, Loc: geo.Pt(0.4, 0.4), Speed: 1, Dir: geo.FullCircle, Confidence: 0.9})
-	s, ts := newTestServer(t, Config{Engine: eng})
+	_, s, ts := newTestServer(t, EngineConfig{Engine: eng}, Config{})
 	preVersion := s.Snapshot().Version
 
 	solveDone := make(chan map[string]any, 1)
@@ -461,11 +388,7 @@ func TestSnapshotIsolationAcrossBatches(t *testing.T) {
 func TestShutdownDrainsQueue(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	eng := engine.New(engine.Config{SolverName: "greedy"})
-	s, err := New(Config{Engine: eng, QueueDepth: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, s, ts := newTestServer(t, EngineConfig{QueueDepth: 64}, Config{})
 	s.testStallApply = func() {
 		select {
 		case entered <- struct{}{}:
@@ -473,12 +396,10 @@ func TestShutdownDrainsQueue(t *testing.T) {
 		}
 		<-release
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
 
 	for i := 0; i < 20; i++ {
 		m := engine.TaskUpsert(model.Task{ID: model.TaskID(i), Loc: geo.Pt(0.5, 0.5), Start: 0, End: 10})
-		if err := s.enqueue(queuedMutation{mut: m}); err != nil {
+		if err := s.Enqueue(m, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -488,18 +409,18 @@ func TestShutdownDrainsQueue(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		shutdownErr <- s.Shutdown(ctx)
+		shutdownErr <- srv.Shutdown(ctx)
 	}()
 	// Intake must close even while the queue still drains.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		// Probe with a no-op mutation (removing an absent task), so probes
 		// that sneak in before intake closes cannot change the engine.
-		if err := s.enqueue(queuedMutation{mut: engine.TaskRemoval(9_999)}); err == ErrShuttingDown {
+		if err := s.Enqueue(engine.TaskRemoval(9_999), nil); err == applyloop.ErrClosed {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("enqueue never started failing with ErrShuttingDown")
+			t.Fatal("enqueue never started failing with ErrClosed")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -526,7 +447,7 @@ func TestConcurrentChurnAndSolves(t *testing.T) {
 		eng.UpsertTask(model.Task{ID: model.TaskID(i), Loc: geo.Pt(0.5, 0.5), Start: 0, End: 10})
 		eng.UpsertWorker(model.Worker{ID: model.WorkerID(i), Loc: geo.Pt(0.4, 0.4), Speed: 1, Dir: geo.FullCircle, Confidence: 0.9})
 	}
-	s, ts := newTestServer(t, Config{Engine: eng, QueueDepth: 4096, BatchMax: 64})
+	s, _, ts := newTestServer(t, EngineConfig{Engine: eng, QueueDepth: 4096, BatchMax: 64}, Config{})
 
 	const clients = 8
 	const iters = 25

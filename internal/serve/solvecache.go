@@ -10,10 +10,8 @@ import (
 // the full solve request identity (solver name and seed — two requests that
 // differ in either may legitimately produce different assignments).
 //
-// On the single-engine serve plane the fingerprint is the snapshot version
-// itself (versions are strictly increasing, so equal version ⇒ identical
-// snapshot). On the cluster plane it is a hash of the per-shard version
-// vector and the routing generation; because a hash can collide, every
+// The fingerprint is a hash of the view's State (the per-loop version
+// vector and the routing generation); because a hash can collide, every
 // entry also stores the exact vector, which Get re-verifies.
 type SolveCacheKey struct {
 	Fingerprint uint64
@@ -37,13 +35,12 @@ type solveCacheEntry struct {
 	value    any
 }
 
-// SolveCache is a fixed-capacity LRU of completed solve results, shared by
-// the serve and cluster planes. Only clean, complete solves belong in it —
-// never partials or errors — and Get returns an entry only when the exact
-// version vector (and routing generation) of the current state matches the
-// one the entry was computed under, so a cached result is bit-identical to
-// what re-running the solve would produce: staleness is zero by
-// construction, not by TTL.
+// SolveCache is a fixed-capacity LRU of completed solve results. Only
+// clean, complete solves belong in it — never partials or errors — and Get
+// returns an entry only when the exact version vector (and routing
+// generation) of the current state matches the one the entry was computed
+// under, so a cached result is bit-identical to what re-running the solve
+// would produce: staleness is zero by construction, not by TTL.
 //
 // A nil *SolveCache is valid and means "disabled": Get always misses
 // (without counting), Put is a no-op. All methods are safe for concurrent
@@ -165,4 +162,22 @@ func sameVersions(a, b []uint64) bool {
 		}
 	}
 	return true
+}
+
+// stateFingerprint condenses a view's State into the solve-cache key hash
+// (FNV-1a over the little-endian words). Collisions are harmless: the cache
+// stores — and Get re-verifies — the exact vector.
+func stateFingerprint(versions []uint64, routeGen uint64) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ v&0xff) * 1099511628211
+			v >>= 8
+		}
+	}
+	for _, v := range versions {
+		mix(v)
+	}
+	mix(routeGen)
+	return h
 }

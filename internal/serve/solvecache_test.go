@@ -61,7 +61,7 @@ func TestSolveCacheLRUSemantics(t *testing.T) {
 // against an unchanged snapshot replays the identical answer flagged
 // cached, and any applied mutation batch invalidates by construction.
 func TestSolveCacheHTTP(t *testing.T) {
-	s, ts := newTestServer(t, Config{SolverName: "greedy", SolveCache: 8})
+	_, _, ts := newTestServer(t, EngineConfig{}, Config{SolverName: "greedy", SolveCache: 8})
 	for i := 0; i < 4; i++ {
 		doJSON(t, "POST", ts.URL+"/v1/tasks", testTask(i))
 		doJSON(t, "POST", ts.URL+"/v1/workers", testWorker(i))
@@ -109,13 +109,12 @@ func TestSolveCacheHTTP(t *testing.T) {
 	if solves := stats["solves"].(float64); solves != 3 {
 		t.Fatalf("solves = %v, want 3 (hits must not count)", solves)
 	}
-	_ = s
 }
 
 // TestSolveCacheHammer races solves (alternating seeds) against mutation
 // batches through a tiny cache; the race detector is the assertion.
 func TestSolveCacheHammer(t *testing.T) {
-	_, ts := newTestServer(t, Config{SolverName: "greedy", SolveCache: 2})
+	_, _, ts := newTestServer(t, EngineConfig{}, Config{SolverName: "greedy", SolveCache: 2})
 	for i := 0; i < 3; i++ {
 		doJSON(t, "POST", ts.URL+"/v1/tasks", testTask(i))
 		doJSON(t, "POST", ts.URL+"/v1/workers", testWorker(i))

@@ -2,6 +2,7 @@ package viz
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -14,10 +15,13 @@ import (
 func TestRenderProducesWellFormedSVG(t *testing.T) {
 	in := gen.GenerateDense(gen.Default().WithScale(20, 30))
 	p := core.NewProblem(in)
-	res := core.SolveSeeded(core.NewGreedy(), p, rng.New(1))
+	res, err := core.NewGreedy().Solve(context.Background(), p, &core.SolveOptions{Source: rng.New(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
-	err := Render(&buf, in, res.Assignment, Options{Title: "test <&>", GridEta: 0.25})
+	err = Render(&buf, in, res.Assignment, Options{Title: "test <&>", GridEta: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,21 +14,31 @@ import (
 	"rdbsc/internal/serve"
 )
 
+// startServer runs an in-process single-engine server for one test.
+func startServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	backend, err := serve.NewEngineBackend(serve.EngineConfig{Engine: engine.New(engine.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Backend: backend, SolverName: "greedy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Shutdown(context.Background())
+	})
+	return hs
+}
+
 // TestReplayAgainstHTTPTestServer is the loadgen dry run: replay a small
 // dense trace against an in-process serve.Server and check the report
 // accounts for every request, at least one solve completed feasibly, and
 // the server's own /v1/stats latency view was populated.
 func TestReplayAgainstHTTPTestServer(t *testing.T) {
-	srv, err := serve.New(serve.Config{
-		Engine:     engine.New(engine.Config{}),
-		SolverName: "greedy",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	defer srv.Shutdown(context.Background())
+	hs := startServer(t)
 
 	sc, err := ByName("dense")
 	if err != nil {
@@ -113,13 +123,7 @@ func TestReplayAgainstHTTPTestServer(t *testing.T) {
 // other trace consumer) must replay cleanly, with the departure gated on
 // the first arrival.
 func TestReplayReArrival(t *testing.T) {
-	srv, err := serve.New(serve.Config{Engine: engine.New(engine.Config{}), SolverName: "greedy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	defer srv.Shutdown(context.Background())
+	hs := startServer(t)
 
 	sc, _ := ByName("dense")
 	tr := sc.Trace(Params{M: 5, N: 10, Seed: 1})
@@ -221,13 +225,7 @@ func TestReplayRequiresBaseURL(t *testing.T) {
 // TestReplayCancellation: a cancelled context stops dispatch early and
 // still returns a consistent report.
 func TestReplayCancellation(t *testing.T) {
-	srv, err := serve.New(serve.Config{Engine: engine.New(engine.Config{}), SolverName: "greedy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	defer srv.Shutdown(context.Background())
+	hs := startServer(t)
 
 	sc, _ := ByName("churn")
 	tr := sc.Trace(Params{M: 20, N: 40, Seed: 1})

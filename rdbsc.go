@@ -346,14 +346,6 @@ func Solve(ctx context.Context, in *Instance, opts ...SolveOption) (*Result, err
 	return res, nil
 }
 
-// SolveNoContext is the v1 entry point: Solve without cancellation.
-//
-// Deprecated: call Solve with a context (context.Background() for the old
-// behavior). Kept for one release to ease migration (see MIGRATION.md).
-func SolveNoContext(in *Instance, opts ...SolveOption) (*Result, error) {
-	return Solve(context.Background(), in, opts...)
-}
-
 // Engine owns a live task/worker set, its RDB-SC-Grid index, and a cached
 // prepared problem, supporting repeated solves and incremental re-solve
 // after churn. See NewEngine and NewEngineFromInstance.

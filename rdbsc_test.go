@@ -248,14 +248,3 @@ func TestEngineFacadeIncrementalResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDeprecatedSolveNoContext(t *testing.T) {
-	in := GenerateDenseWorkload(DefaultWorkload().WithScale(20, 40))
-	res, err := SolveNoContext(in, WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Assignment.Len() == 0 {
-		t.Error("v1 wrapper assigned nothing")
-	}
-}
