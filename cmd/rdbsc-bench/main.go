@@ -16,20 +16,7 @@
 //	rdbsc-bench -fig ablation-decompose     # component decomposition: monolithic vs sharded vs cached churn
 //	rdbsc-bench -sharded -fig 13            # every approach through the sharded-* composites
 //
-// Scenario mode benchmarks one named workload scenario (package workload)
-// and emits the machine-readable, versioned BENCH_<scenario>.json record
-// (package benchreport) that the CI perf-smoke gate and cross-commit perf
-// comparisons are built on:
-//
-//	rdbsc-bench -list-scenarios
-//	rdbsc-bench -json -scenario dense                        # writes BENCH_dense.json
-//	rdbsc-bench -json -scenario islands -solver dc -sharded -runs 7
-//	rdbsc-bench -json -scenario dense -baseline BENCH_baseline.json -max-regress 3
-//	rdbsc-bench -json -scenario dense -write-baseline BENCH_baseline.json
-//
-// Exit codes: 0 success; 1 the solve was infeasible (ErrInfeasible, also
-// recorded in the JSON "error" field) or failed; 2 usage errors; 3 the
-// baseline comparison found a regression.
+// Exit codes: 0 success; 2 usage errors.
 //
 // Bench scale defaults to m=80, n=160 (the paper's 10K×10K full scale takes
 // CPU-hours on the quadratic greedy); shapes, not absolute magnitudes, are
@@ -41,17 +28,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
-	"rdbsc/internal/benchreport"
 	"rdbsc/internal/core"
-	"rdbsc/internal/decompose"
-	"rdbsc/internal/engine"
 	"rdbsc/internal/exp"
-	"rdbsc/internal/serve"
-	"rdbsc/internal/workload"
 )
 
 func main() {
@@ -65,19 +46,6 @@ func main() {
 		greedy  = flag.String("greedy", "greedy", "registry name backing the GREEDY approach: greedy (incremental), greedy-naive, or greedy-parallel")
 		sharded = flag.Bool("sharded", false, "wrap every approach in connected-component decomposition (the sharded-* composites)")
 		timeout = flag.Duration("timeout", 0, "overall deadline; experiments report partial tables when it expires (0 = no limit)")
-
-		// Scenario/benchmark-pipeline mode.
-		scenario      = flag.String("scenario", "", "benchmark one named workload scenario instead of a figure sweep")
-		listScenarios = flag.Bool("list-scenarios", false, "list the named workload scenarios and exit")
-		jsonOut       = flag.Bool("json", false, "with -scenario: write the machine-readable BENCH_<scenario>.json record")
-		runs          = flag.Int("runs", 5, "with -scenario: measured solves behind the latency percentiles")
-		solver        = flag.String("solver", "greedy", "with -scenario: solver registry name")
-		outDir        = flag.String("out", ".", "with -scenario -json: directory for BENCH_<scenario>.json")
-		baseline      = flag.String("baseline", "", "with -scenario: compare against this baseline file (exit 3 on regression)")
-		maxRegress    = flag.Float64("max-regress", 3, "with -baseline: fail when wall-clock p50 exceeds this multiple of the baseline")
-		maxAllocs     = flag.Float64("max-allocs-regress", 0, "with -baseline: fail when allocs/op exceeds this multiple of the baseline (0 = off)")
-		writeBaseline = flag.String("write-baseline", "", "with -scenario: merge this run into the given baseline file")
-		solveCache    = flag.Bool("solve-cache", false, "with -scenario: replay repeat solves through the cross-request solve cache (variant 'cached')")
 	)
 	flag.Parse()
 
@@ -87,32 +55,12 @@ func main() {
 		}
 		return
 	}
-	if *listScenarios {
-		for _, s := range workload.Registry() {
-			fmt.Printf("%-12s %s\n", s.Name, s.Description)
-		}
-		return
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	if *scenario != "" {
-		os.Exit(runScenario(ctx, scenarioOpts{
-			name: *scenario, solver: *solver, sharded: *sharded,
-			m: *m, n: *n, seed: *seed, runs: *runs,
-			jsonOut: *jsonOut, outDir: *outDir,
-			baseline: *baseline, maxRegress: *maxRegress, maxAllocs: *maxAllocs,
-			writeBaseline: *writeBaseline, solveCache: *solveCache,
-		}))
-	}
-	if *jsonOut {
-		fmt.Fprintln(os.Stderr, "rdbsc-bench: -json requires -scenario; try -list-scenarios")
-		os.Exit(2)
 	}
 
 	if s, err := core.NewByName(*greedy); err != nil {
@@ -144,183 +92,6 @@ func main() {
 		fmt.Printf("-- paper shape: %s\n", e.PaperShape)
 		fmt.Printf("-- completed in %.1fs\n\n", time.Since(start).Seconds())
 	}
-}
-
-// scenarioOpts carries the -scenario mode flags.
-type scenarioOpts struct {
-	name, solver            string
-	sharded, jsonOut        bool
-	solveCache              bool
-	m, n, runs              int
-	seed                    int64
-	outDir                  string
-	baseline, writeBaseline string
-	maxRegress, maxAllocs   float64
-}
-
-// runScenario benchmarks one named workload scenario: retrieve the valid
-// pairs through the engine's grid index once, solve the prepared problem
-// opts.runs times, and summarize wall clock, objective, and solver stats as
-// a benchreport.Report. Returns the process exit code.
-func runScenario(ctx context.Context, opts scenarioOpts) int {
-	sc, err := workload.ByName(opts.name)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rdbsc-bench: %v\n", err)
-		return 2
-	}
-	solver, err := core.NewByName(opts.solver)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rdbsc-bench: -solver: %v\n", err)
-		return 2
-	}
-	if opts.sharded {
-		solver = core.NewSharded(solver)
-	}
-	if opts.runs <= 0 {
-		opts.runs = 1
-	}
-
-	in := sc.Instance(workload.Params{M: opts.m, N: opts.n, Seed: opts.seed})
-	eng := engine.NewFromInstance(in, engine.Config{})
-	prob := eng.Problem()
-	_, retrieve := eng.LastPrep()
-
-	rep := benchreport.New("oneshot", opts.name, solver.Name(), opts.seed)
-	rep.M, rep.N = len(in.Tasks), len(in.Workers)
-	rep.Pairs = len(prob.Pairs)
-	rep.Components = decompose.Build(prob.Pairs).Len()
-	rep.RetrieveMS = float64(retrieve) / float64(time.Millisecond)
-
-	// With -solve-cache, repeat solves replay through the serve plane's
-	// cross-request cache (the state never changes between runs, so every
-	// run after the first is a hit); the record is written under the
-	// "cached" variant so it coexists with the uncached one.
-	var cache *serve.SolveCache
-	cacheVersions := []uint64{1}
-	cacheKey := serve.SolveCacheKey{Fingerprint: 1, Solver: solver.Name(), Seed: opts.seed}
-	if opts.solveCache {
-		cache = serve.NewSolveCache(opts.runs)
-		rep.Variant = "cached"
-	}
-
-	// Only clean solves enter the latency sample: an errored or interrupted
-	// attempt's timing measures the failure, not the solver, and Runs must
-	// reflect what the quantiles were computed over. The allocation profile
-	// is the MemStats delta across the measured loop, averaged per run.
-	wall := make([]float64, 0, opts.runs)
-	var res *core.Result
-	var solveErr error
-	cacheHits := 0
-	runtime.GC()
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	for r := 0; r < opts.runs; r++ {
-		start := time.Now()
-		if v, ok := cache.Get(cacheKey, cacheVersions, 0); ok {
-			res = v.(*core.Result)
-			cacheHits++
-			wall = append(wall, float64(time.Since(start))/float64(time.Millisecond))
-			continue
-		}
-		res, solveErr = solver.Solve(ctx, prob, &core.SolveOptions{Seed: opts.seed})
-		if solveErr != nil {
-			break
-		}
-		cache.Put(cacheKey, cacheVersions, 0, res)
-		wall = append(wall, float64(time.Since(start))/float64(time.Millisecond))
-	}
-	runtime.ReadMemStats(&msAfter)
-	rep.Runs = len(wall)
-	rep.WallMS = benchreport.Summarize(wall)
-	if len(wall) > 0 {
-		rep.AllocsPerOp = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(len(wall))
-		rep.BytesPerOp = float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(len(wall))
-	}
-	if res != nil {
-		rep.Feasible = res.Assignment != nil && res.Assignment.Len() > 0
-		rep.Objective = benchreport.Objective{
-			MinReliability:  res.Eval.MinRel,
-			TotalDiversity:  res.Eval.TotalESTD,
-			AssignedWorkers: res.Eval.AssignedWorkers,
-			AssignedTasks:   res.Eval.AssignedTasks,
-		}
-		rep.Stats = res.Stats
-	}
-
-	// The bugfix half of this mode: infeasible (or failed) runs carry the
-	// error in the JSON record AND signal it through the exit code, so CI
-	// and scripts see it without parsing human-readable text.
-	exit := 0
-	switch {
-	case solveErr != nil:
-		rep.Error = solveErr.Error()
-		exit = 1
-	case !rep.Feasible:
-		rep.Error = core.ErrInfeasible.Error()
-		exit = 1
-	}
-
-	fmt.Printf("scenario %-10s solver %-14s m=%d n=%d pairs=%d components=%d\n",
-		opts.name, solver.Name(), rep.M, rep.N, rep.Pairs, rep.Components)
-	fmt.Printf("  wall p50=%.2fms p95=%.2fms p99=%.2fms (runs=%d, retrieve=%.2fms)\n",
-		rep.WallMS.P50, rep.WallMS.P95, rep.WallMS.P99, len(wall), rep.RetrieveMS)
-	fmt.Printf("  allocs/op=%.0f bytes/op=%.0f\n", rep.AllocsPerOp, rep.BytesPerOp)
-	if opts.solveCache {
-		fmt.Printf("  solve-cache hits=%d/%d\n", cacheHits, len(wall))
-	}
-	fmt.Printf("  minRel=%.4f totalSTD=%.4f assigned=%d/%d\n",
-		rep.Objective.MinReliability, rep.Objective.TotalDiversity,
-		rep.Objective.AssignedWorkers, rep.Objective.AssignedTasks)
-	if rep.Error != "" {
-		fmt.Printf("  error: %s\n", rep.Error)
-	}
-
-	if opts.jsonOut {
-		path, err := benchreport.Write(opts.outDir, rep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rdbsc-bench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("  wrote %s\n", path)
-	}
-	if opts.writeBaseline != "" {
-		bl, err := benchreport.LoadBaseline(opts.writeBaseline)
-		if err != nil {
-			if !os.IsNotExist(err) {
-				fmt.Fprintf(os.Stderr, "rdbsc-bench: %v\n", err)
-				return 1
-			}
-			bl = &benchreport.Baseline{}
-		}
-		bl.Merge(rep)
-		if err := benchreport.WriteBaseline(opts.writeBaseline, bl); err != nil {
-			fmt.Fprintf(os.Stderr, "rdbsc-bench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("  merged into baseline %s\n", opts.writeBaseline)
-	}
-	if opts.baseline != "" {
-		bl, err := benchreport.LoadBaseline(opts.baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rdbsc-bench: %v\n", err)
-			return 1
-		}
-		failures, notes := bl.Compare(rep, opts.maxRegress)
-		af, an := bl.CompareAllocs(rep, opts.maxAllocs)
-		failures = append(failures, af...)
-		notes = append(notes, an...)
-		for _, n := range notes {
-			fmt.Printf("  baseline note: %s\n", n)
-		}
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "rdbsc-bench: baseline regression: %s\n", f)
-		}
-		if len(failures) > 0 {
-			return 3
-		}
-		fmt.Printf("  baseline gate passed (max-regress %.1f×)\n", opts.maxRegress)
-	}
-	return exit
 }
 
 // resolve maps the -fig argument to experiment ids.

@@ -107,8 +107,7 @@ func (p *proc) kill(t *testing.T) {
 	_ = p.cmd.Wait() // reaps and releases the pipe; error is the expected "killed"
 }
 
-// eventRequest renders one trace event as the HTTP mutation the loadgen
-// would send.
+// eventRequest renders one trace event as its /v1 HTTP mutation.
 func eventRequest(ev workload.Event) (method, path string, body []byte) {
 	switch ev.Kind {
 	case workload.TaskArrive:

@@ -11,8 +11,8 @@ import (
 // scenarioSweep sweeps the named workload-scenario suite (package workload)
 // as the x-axis: every scenario's one-shot instance through the four
 // approaches. This goes beyond the paper's Table 2 settings — it is the
-// quality/timing panel for the workload vocabulary the BENCH_*.json
-// pipeline and the CI perf-smoke gate are keyed on.
+// quality/timing panel for the scenario vocabulary the differential tests
+// and the repository benchmark draw their workloads from.
 func scenarioSweep() Experiment {
 	return Experiment{
 		ID:     "scenarios",

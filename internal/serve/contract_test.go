@@ -289,8 +289,11 @@ var contract = []struct {
 		if stats["version"] != solve["version"] || stats["batches"].(float64) < 3 || stats["mutations_applied"] != 29.0 {
 			t.Errorf("stats state plane: %v", stats)
 		}
-		if stats["solves"] != 1.0 || stats["solver_stats"].(map[string]any)["Rounds"].(float64) == 0 ||
-			stats["solve_latency_ms"].(map[string]any)["max"].(float64) <= 0 {
+		latency := stats["solve_latency_ms"].(map[string]any)
+		if got := keys(latency); !reflect.DeepEqual(got, []string{"max", "mean", "p50", "p95", "p99"}) {
+			t.Errorf("solve_latency_ms keys %v, want [max mean p50 p95 p99]", got)
+		}
+		if stats["solves"] != 1.0 || stats["solver_stats"].(map[string]any)["Rounds"].(float64) == 0 || latency["max"].(float64) <= 0 {
 			t.Errorf("stats solve plane: %v", stats)
 		}
 		if stats["durability"].(map[string]any)["backend"] != "memory" {

@@ -13,7 +13,6 @@ import (
 
 	"rdbsc/internal/adaptive"
 	"rdbsc/internal/applyloop"
-	"rdbsc/internal/benchreport"
 	"rdbsc/internal/core"
 	"rdbsc/internal/engine"
 	"rdbsc/internal/geo"
@@ -46,9 +45,10 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // TaskJSON is the wire form of a task, mirroring the dataset CSV columns
-// (id,x,y,start,end). It is exported so HTTP clients in this repository
-// (rdbsc-loadgen's replay) share the schema with the server at compile
-// time instead of duplicating JSON tags.
+// (id,x,y,start,end). It is exported so Go code that speaks the wire form
+// (cmd/rdbsc-server's crash harness, bench/'s serve-layer probe) shares
+// the schema with the server at compile time instead of duplicating JSON
+// tags.
 type TaskJSON struct {
 	ID    model.TaskID `json:"id"`
 	X     float64      `json:"x"`
@@ -554,7 +554,7 @@ type statsResponse struct {
 	SolveCacheEvictions uint64 `json:"solve_cache_evictions"`
 	// SolveLatencyMS summarizes the most recent solves (up to the latency
 	// ring's capacity), completed and partial alike.
-	SolveLatencyMS benchreport.Quantiles `json:"solve_latency_ms"`
+	SolveLatencyMS quantiles `json:"solve_latency_ms"`
 
 	// Adaptive is the latency-SLO tier's controller state (per-lane
 	// counters and learned costs, thresholds, degrade/shed accounting);
@@ -614,7 +614,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SolveErrors:    s.solveErrors.Load(),
 		Partials:       s.partials.Load(),
 		SolverStats:    solverStats,
-		SolveLatencyMS: benchreport.Summarize(latencies),
+		SolveLatencyMS: summarize(latencies),
 
 		SolveCacheHits:      cacheStats.Hits,
 		SolveCacheMisses:    cacheStats.Misses,

@@ -40,8 +40,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,8 +139,8 @@ type counters struct {
 	solveStats core.Stats // cumulative per-solve diagnostics
 
 	// solveLatMS is a ring of recent solve latencies (completed and partial
-	// solves), summarized into /v1/stats' solve_latency_ms quantiles — the
-	// server-side complement of rdbsc-loadgen's client-side percentiles.
+	// solves), summarized into /v1/stats' solve_latency_ms quantiles as
+	// timed by the server, from solver start to solver return.
 	solveLatMS [1024]float64
 	latN       int // total recorded (ring index = latN % len)
 }
@@ -160,6 +162,39 @@ func (c *counters) solveSample() (core.Stats, []float64) {
 	defer c.statsMu.Unlock()
 	n := min(c.latN, len(c.solveLatMS))
 	return c.solveStats, append([]float64(nil), c.solveLatMS[:n]...)
+}
+
+// quantiles summarizes a latency sample in milliseconds.
+type quantiles struct {
+	P50  float64 `json:"p50"`
+	P95  float64 `json:"p95"`
+	P99  float64 `json:"p99"`
+	Mean float64 `json:"mean"`
+	Max  float64 `json:"max"`
+}
+
+// summarize computes nearest-rank quantiles over the sample (which it does
+// not modify). A nil or empty sample yields the zero quantiles.
+func summarize(ms []float64) quantiles {
+	if len(ms) == 0 {
+		return quantiles{}
+	}
+	s := append([]float64(nil), ms...)
+	sort.Float64s(s)
+	rank := func(q float64) float64 {
+		return s[max(int(math.Ceil(q*float64(len(s))))-1, 0)]
+	}
+	sum := 0.0
+	for _, v := range s {
+		sum += v
+	}
+	return quantiles{
+		P50:  rank(0.50),
+		P95:  rank(0.95),
+		P99:  rank(0.99),
+		Mean: sum / float64(len(s)),
+		Max:  s[len(s)-1],
+	}
 }
 
 // New validates the configuration and returns the server over cfg.Backend.

@@ -124,6 +124,28 @@ func doJSON(t *testing.T, method, url, body string) (int, map[string]any) {
 	return code, out
 }
 
+// TestSummarize pins the nearest-rank quantiles behind /v1/stats'
+// solve_latency_ms.
+func TestSummarize(t *testing.T) {
+	if q := summarize(nil); q != (quantiles{}) {
+		t.Fatalf("empty sample: %+v", q)
+	}
+	sample := make([]float64, 100)
+	for i := range sample {
+		sample[i] = float64(100 - i) // 100..1, so sorting has work to do
+	}
+	q := summarize(sample)
+	if q.P50 != 50 || q.P95 != 95 || q.P99 != 99 || q.Max != 100 || q.Mean != 50.5 {
+		t.Fatalf("nearest-rank quantiles of 1..100: %+v", q)
+	}
+	if sample[0] != 100 || sample[99] != 1 {
+		t.Fatal("summarize reordered its input")
+	}
+	if q := summarize([]float64{7}); q != (quantiles{P50: 7, P95: 7, P99: 7, Mean: 7, Max: 7}) {
+		t.Fatalf("one-element sample: %+v", q)
+	}
+}
+
 // TestDecomposeEngineShardsServeSolves pins that a Decompose engine keeps
 // its component decomposition on the snapshot plane: serve-layer solves go
 // through core.Sharded, and the exhaustive population cap surfaces as 422,

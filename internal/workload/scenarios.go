@@ -10,8 +10,8 @@ import (
 )
 
 // Fixed scenario-internal knobs. They are part of each scenario's identity:
-// changing one changes every trace byte and every BENCH_<name>.json, so they
-// are named constants rather than Params fields.
+// changing one changes every trace byte and every instance built from it,
+// so they are named constants rather than Params fields.
 const (
 	// islandCount is the number of disconnected regions in the islands
 	// scenario (a 2×2 city grid).

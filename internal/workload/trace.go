@@ -84,33 +84,6 @@ func (t *Trace) Encode() []byte {
 	return b
 }
 
-// Decode parses a trace previously rendered with Encode.
-func Decode(data []byte) (*Trace, error) {
-	var t Trace
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// Apply replays one event into an engine, reporting whether the engine
-// changed. internal/stream uses the same semantics for its Config.Trace
-// replay; this entry point serves direct engine-plane consumers and tests.
-func Apply(eng *engine.Engine, ev Event) bool {
-	switch ev.Kind {
-	case TaskArrive:
-		return eng.UpsertTask(ev.Task)
-	case TaskExpire:
-		return eng.RemoveTask(ev.TaskID)
-	case WorkerArrive:
-		return eng.UpsertWorker(ev.Worker)
-	case WorkerLeave:
-		return eng.RemoveWorker(ev.WorkerID)
-	default:
-		return false
-	}
-}
-
 // Mutation converts the event to the engine's batch-mutation form, for
 // consumers that apply trace spans through Engine.ApplyBatch. It panics on
 // an unknown kind (a corrupted or future trace encoding) rather than
@@ -165,8 +138,8 @@ func (b *traceBuilder) finish() *Trace {
 // worker arrives at its check-in time Depart and leaves at the horizon. The
 // horizon is the latest task expiry (so nothing is cut off), capped at
 // maxHorizon when positive — instance-first scenarios pass Params.Horizon
-// through, so a loadgen replay's span stays bounded even for instances
-// spanning a full day. Entities whose arrival misses the horizon are
+// through, so a trace's span stays bounded even for instances spanning a
+// full day. Entities whose arrival misses the horizon are
 // omitted entirely (arrival and departure both), keeping the trace
 // well-formed: no departure ever references an entity that never arrived.
 func TraceFromInstance(in *model.Instance, scenario string, seed int64, maxHorizon float64) *Trace {

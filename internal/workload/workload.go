@@ -1,21 +1,21 @@
-// Package workload defines the named scenario suite behind the repository's
-// benchmark pipeline. Every scenario is parameterized by a common Params
-// block and fully determined by its seed, and produces two shapes of
-// workload:
+// Package workload defines the named scenario suite. Every scenario is
+// parameterized by a common Params block and fully determined by its seed,
+// and produces two shapes of workload:
 //
 //   - a one-shot model.Instance, the input of a single solve — what
-//     rdbsc-bench's -scenario mode measures and writes to BENCH_<name>.json;
+//     rdbsc-bench's "scenarios" experiment (internal/exp) sweeps;
 //   - a timed churn Trace — an explicit event sequence (task/worker arrivals
 //     and departures on a simulated clock) that internal/stream replays
-//     against an engine (Config.Trace) and cmd/rdbsc-loadgen replays against
-//     rdbsc-server as open-loop HTTP load (Replay).
+//     against an engine (Config.Trace), that the cluster differential and
+//     crash-restart tests drive through both backends, and that the
+//     repository benchmark (bench/traffic) turns into HTTP traffic.
 //
 // The scenarios deliberately go beyond the paper's Table 2 settings (which
 // package gen covers as the uniform/dense/islands generators): Zipf-skewed
 // task popularity, rush-hour arrival bursts, a moving spatial hotspot,
 // heavy worker churn, multi-city disconnected regions, and an adversarial
-// near-clique worst case. Together they are the fixed vocabulary that
-// BENCH_*.json reports and the CI perf-smoke gate are keyed on.
+// near-clique worst case. The benchmark's workloads name their scenario
+// by registry key, so the names are a fixed vocabulary.
 package workload
 
 import (
@@ -62,9 +62,9 @@ func (p Params) withDefaults() Params {
 // the churn profile, and instance-first scenarios derive their trace from
 // the entities' own timestamps (tasks arrive at Start, workers at Depart).
 type Scenario struct {
-	// Name is the registry key, also the <name> of BENCH_<name>.json.
+	// Name is the registry key ByName resolves.
 	Name string
-	// Description is a one-line summary for -list-scenarios and the README.
+	// Description is a one-line summary.
 	Description string
 	// Instance builds the one-shot instance.
 	Instance func(p Params) *model.Instance
