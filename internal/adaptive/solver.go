@@ -37,9 +37,10 @@ func NewSolver(ctrl *Controller) *Solver { return &Solver{ctrl: ctrl} }
 func (s *Solver) Name() string { return "ADAPTIVE" }
 
 // laneSolver builds the fresh inner solver for one decision. Greedy is the
-// registry's "greedy-parallel" configuration (incremental candidate cache
-// with sharded exact-Δ evaluation); sampling runs in parallel mode under
-// the decision's round cap — both deterministic for a fixed seed.
+// registry's "greedy-parallel" configuration (per-pair cache of Δ-bounds
+// and exact Δ, keyed on the task state's version, with a round's exact-Δ
+// misses sharded across CPUs); sampling runs in parallel mode under the
+// decision's round cap — both deterministic for a fixed seed.
 func (s *Solver) laneSolver(d Decision) core.Solver {
 	switch d.Lane {
 	case LaneExhaustive:

@@ -25,25 +25,29 @@ import (
 // bound falls below another pair's lower bound (at equal-or-worse Δmin-R)
 // is discarded before its exact Δdiversity is computed.
 //
-// With Incremental enabled (the default), the per-pair Δ-diversity bounds
-// are maintained across rounds instead of recomputed from scratch: a round
-// mutates exactly one task's state, so only that task's pairs need fresh
-// bounds — every other cached bound stays valid (keyed on the task state's
-// version counter), and only the cheap Δmin-R term is refreshed from an
-// incrementally maintained min/second-min R. The assignment produced is
-// bit-identical to the non-incremental path; Greedy{Incremental: false}
-// keeps the full-recomputation loop reachable for differential testing.
+// With Incremental enabled (the default), per-pair results are maintained
+// across rounds instead of recomputed from scratch: a round mutates exactly
+// one task's state, so only that task's pairs need fresh Δ-diversity bounds
+// or a fresh exact ΔE[STD]. Both are memoised under the task state's
+// version counter, so every other pair's bounds stay valid and its exact Δ,
+// once computed for a round it survived pruning in, is never computed again
+// at that version; only the cheap Δmin-R term is refreshed each round, from
+// an incrementally maintained min/second-min R. Pruning still reads only
+// the bounds. The assignment produced is bit-identical to the
+// non-incremental path; Greedy{Incremental: false} keeps the
+// full-recomputation loop reachable for differential testing.
 type Greedy struct {
 	// Prune toggles the Lemma 4.3 bound-based candidate pruning.
 	Prune bool
-	// Incremental reuses candidate Δ-bounds across rounds via a per-pair
-	// cache keyed on the task state's version, recomputing only the pairs
-	// of the task assigned in the previous round.
+	// Incremental memoises candidate Δ-bounds and exact ΔE[STD] across
+	// rounds in a per-pair cache keyed on the task state's version, so only
+	// the pairs of the task assigned in the previous round recompute.
 	Incremental bool
-	// Parallel evaluates the surviving candidates' exact Δ-diversity on all
-	// CPUs (GOMAXPROCS-bounded shards). The winner is identical to the
-	// sequential run: every candidate's exact Δ is a pure function of the
-	// (unmutated) task states, and the tie-broken argmax scan stays
+	// Parallel evaluates a round's exact-Δ misses (surviving candidates
+	// with no memoised value) on all CPUs in GOMAXPROCS-bounded shards; a
+	// round with at most one miss evaluates inline. The winner is identical
+	// to the sequential run: every candidate's exact Δ is a pure function
+	// of the (unmutated) task states, and the tie-broken argmax scan stays
 	// sequential over the stable candidate order, mirroring the seed-stable
 	// design of Sampling.Parallel.
 	Parallel bool
@@ -57,16 +61,18 @@ func NewGreedy() *Greedy { return &Greedy{Prune: true, Incremental: true} }
 func (g *Greedy) Name() string { return "GREEDY" }
 
 // greedyScratch bundles the buffers one greedy solve reuses across rounds:
-// the candidate list, the objective vectors, and a scratch.Buffers feeding
-// every slice temporary underneath (bound/delta evaluation, skyline,
-// dominance scores, pruning). Solves check one out of a process-wide
-// sync.Pool, so steady-state serving reuses warmed buffers across requests
-// too. It is single-goroutine state; the parallel exact-Δ shards take their
-// own scratch.Buffers instead of sharing this one.
+// the candidate list, the indices of its exact-Δ misses, the objective
+// vectors, and a scratch.Buffers feeding every slice temporary underneath
+// (bound/delta evaluation, skyline, dominance scores, pruning). Solves
+// check one out of a process-wide sync.Pool, so steady-state serving reuses
+// warmed buffers across requests too. It is single-goroutine state; the
+// parallel exact-Δ shards take their own scratch.Buffers instead of
+// sharing this one.
 type greedyScratch struct {
-	bufs  *scratch.Buffers
-	cands []candidate
-	vecs  []objective.Vec2
+	bufs   *scratch.Buffers
+	cands  []candidate
+	misses []int
+	vecs   []objective.Vec2
 }
 
 var greedyScratchPool = sync.Pool{New: func() any { return &greedyScratch{bufs: new(scratch.Buffers)} }}
@@ -93,8 +99,8 @@ type candidate struct {
 	dR      float64 // increase of the task's own R (−ln(1−p))
 	lbD     float64 // lower bound on ΔE[STD]
 	ubD     float64 // upper bound on ΔE[STD]
-	dD      float64 // exact ΔE[STD] (filled after pruning survives)
-	exact   bool
+	dD      float64 // exact ΔE[STD]: memoised, or computed after pruning survives
+	exact   bool    // dD is set; selectBest computes dD only where this is false
 }
 
 // Solve implements Solver. When opts carries SeedStates, the seeded
@@ -173,20 +179,23 @@ func (g *Greedy) runNaive(ctx context.Context, p *Problem, states map[model.Task
 		if len(cands) == 0 {
 			break
 		}
-		best := g.selectBest(p, states, cands, gs, &stats)
+		best := g.selectBest(p, states, cands, nil, gs, &stats)
 		g.commitRound(p, states, free, assignment, best, nil, gs, &stats, opts)
 	}
 	gs.fold(&stats)
 	return finishResult(p, assignment, stats), nil
 }
 
-// runIncremental maintains the candidate bounds across rounds: a per-pair
-// cache keyed on the task state's version serves every pair whose task did
-// not change in the previous round, and the global min/second-min R feeding
-// the Δmin-R term is updated in O(log m) instead of rescanned.
+// runIncremental maintains the candidates across rounds: a per-pair cache
+// keyed on the task state's version serves the bounds, and the exact Δ once
+// computed, of every pair whose task did not change in the previous round;
+// the global min/second-min R feeding the Δmin-R term is updated in
+// O(log m) instead of rescanned; and each pair's task state and ΔR are
+// looked up once per solve rather than once per round.
 func (g *Greedy) runIncremental(ctx context.Context, p *Problem, states map[model.TaskID]*objective.TaskState, free map[model.WorkerID]bool, opts *SolveOptions) (*Result, error) {
 	assignment := model.NewAssignment()
 	cache := newBoundCache(len(p.Pairs))
+	pc := newPairConsts(p, states)
 	tracker := newMinTwoTracker(states)
 	gs := getGreedyScratch()
 	defer putGreedyScratch(gs)
@@ -196,11 +205,11 @@ func (g *Greedy) runIncremental(ctx context.Context, p *Problem, states map[mode
 			gs.fold(&stats)
 			return finishResult(p, assignment, stats), interrupted(ctx)
 		}
-		cands := g.collectCached(p, states, free, cache, tracker, gs, &stats)
+		cands := g.collectCached(p, pc, free, cache, tracker, gs, &stats)
 		if len(cands) == 0 {
 			break
 		}
-		best := g.selectBest(p, states, cands, gs, &stats)
+		best := g.selectBest(p, states, cands, cache, gs, &stats)
 		g.commitRound(p, states, free, assignment, best, tracker, gs, &stats, opts)
 	}
 	gs.fold(&stats)
@@ -260,13 +269,14 @@ func (g *Greedy) collectCandidates(p *Problem, states map[model.TaskID]*objectiv
 	return cands
 }
 
-// collectCached is collectCandidates with the per-pair bound cache: bounds
-// are recomputed only for pairs whose task state changed since they were
-// cached (after round k that is exactly the task assigned in round k), and
-// the Δmin-R term comes from the incrementally maintained tracker. The
+// collectCached is collectCandidates with the per-pair cache: bounds are
+// recomputed only for pairs whose task state changed since they were
+// cached (after round k that is exactly the task assigned in round k), a
+// cached pair whose exact Δ is memoised comes back marked exact, and the
+// Δmin-R term comes from the incrementally maintained tracker. The
 // candidate list is identical to collectCandidates' — same pairs, same
 // order, same floating-point values.
-func (g *Greedy) collectCached(p *Problem, states map[model.TaskID]*objective.TaskState, free map[model.WorkerID]bool, cache *boundCache, tracker *minTwoTracker, gs *greedyScratch, stats *Stats) []candidate {
+func (g *Greedy) collectCached(p *Problem, pc pairConsts, free map[model.WorkerID]bool, cache *boundCache, tracker *minTwoTracker, gs *greedyScratch, stats *Stats) []candidate {
 	minR, secondR := tracker.minTwo()
 	cands := gs.cands[:0]
 	for i := range p.In.Workers {
@@ -274,27 +284,24 @@ func (g *Greedy) collectCached(p *Problem, states map[model.TaskID]*objective.Ta
 		if !free[wid] {
 			continue
 		}
-		w := &p.In.Workers[i]
+		conf := p.In.Workers[i].Confidence
 		for _, pi := range p.WorkerPairs(wid) {
-			pr := p.Pairs[pi]
-			st := states[pr.Task]
-			dR := objective.RTerm(w.Confidence)
-			lo, hi, ok := cache.get(pi, st.Version())
-			if ok {
-				stats.BoundsReused++
-			} else {
-				b := st.DeltaBoundsIfAddBuf(gs.bufs, w.Confidence, pr.Arrival, pr.Angle)
-				lo, hi = b.Lo, b.Hi
-				cache.put(pi, st.Version(), lo, hi)
-				stats.BoundsComputed++
-			}
-			cands = append(cands, candidate{
+			st, dR := pc.state[pi], pc.dR[pi]
+			c := candidate{
 				pairIdx: pi,
 				dR:      dR,
 				dMinR:   deltaMinR(st.R(), dR, minR, secondR),
-				lbD:     lo,
-				ubD:     hi,
-			})
+			}
+			if cache.fill(&c, st.Version()) {
+				stats.BoundsReused++
+			} else {
+				pr := &p.Pairs[pi]
+				b := st.DeltaBoundsIfAddBuf(gs.bufs, conf, pr.Arrival, pr.Angle)
+				c.lbD, c.ubD = b.Lo, b.Hi
+				cache.put(pi, st.Version(), b.Lo, b.Hi)
+				stats.BoundsComputed++
+			}
+			cands = append(cands, c)
 		}
 	}
 	gs.cands = cands // keep the (possibly grown) backing for the next round
@@ -304,30 +311,32 @@ func (g *Greedy) collectCached(p *Problem, states map[model.TaskID]*objective.Ta
 	return cands
 }
 
-// selectBest computes exact diversity increases for the surviving
-// candidates, ranks them by dominance score, and returns the winner. With
-// Parallel set, the exact O(r²) Δ evaluations run in GOMAXPROCS-bounded
-// shards; the states are only read, and the winner scan stays sequential
-// over the stable candidate order, so the result matches the sequential
-// path exactly.
-func (g *Greedy) selectBest(p *Problem, states map[model.TaskID]*objective.TaskState, cands []candidate, gs *greedyScratch, stats *Stats) candidate {
-	if cap(gs.vecs) < len(cands) {
-		gs.vecs = make([]objective.Vec2, len(cands))
+// selectBest computes the exact diversity increase of every surviving
+// candidate not already marked exact, memoises the new values in cache (nil
+// on the naive path), ranks the candidates by dominance score, and returns
+// the winner. With Parallel set and more than one miss, the exact O(r²) Δ
+// evaluations run in GOMAXPROCS-bounded shards; the states are only read,
+// and the winner scan stays sequential over the stable candidate order, so
+// the result matches the sequential path exactly.
+func (g *Greedy) selectBest(p *Problem, states map[model.TaskID]*objective.TaskState, cands []candidate, cache *boundCache, gs *greedyScratch, stats *Stats) candidate {
+	misses := gs.misses[:0]
+	for i := range cands {
+		if !cands[i].exact {
+			misses = append(misses, i)
+		}
 	}
-	vecs := gs.vecs[:len(cands)]
+	gs.misses = misses
 	evalExact := func(bufs *scratch.Buffers, i int) {
 		c := &cands[i]
-		pr := p.Pairs[c.pairIdx]
+		pr := &p.Pairs[c.pairIdx]
 		w := p.Worker(pr.Worker)
-		_, dD := states[pr.Task].DeltaIfAddBuf(bufs, w.Confidence, pr.Arrival, pr.Angle)
-		c.dD = dD
+		_, c.dD = states[pr.Task].DeltaIfAddBuf(bufs, w.Confidence, pr.Arrival, pr.Angle)
 		c.exact = true
-		vecs[i] = objective.Vec2{R: c.dMinR, D: c.dD}
 	}
-	if g.Parallel && len(cands) > 1 {
+	if g.Parallel && len(misses) > 1 {
 		shards := runtime.GOMAXPROCS(0)
-		if shards > len(cands) {
-			shards = len(cands)
+		if shards > len(misses) {
+			shards = len(misses)
 		}
 		// Buffers are single-goroutine: each shard checks its own out of
 		// the process-wide reservoir and folds its counters back atomically.
@@ -338,8 +347,8 @@ func (g *Greedy) selectBest(p *Problem, states map[model.TaskID]*objective.TaskS
 			go func(s int) {
 				defer wg.Done()
 				bufs := scratch.Get()
-				for i := s; i < len(cands); i += shards {
-					evalExact(bufs, i)
+				for j := s; j < len(misses); j += shards {
+					evalExact(bufs, misses[j])
 				}
 				a, r := bufs.Counters()
 				pAllocs.Add(int64(a))
@@ -351,11 +360,23 @@ func (g *Greedy) selectBest(p *Problem, states map[model.TaskID]*objective.TaskS
 		stats.ScratchAllocs += int(pAllocs.Load())
 		stats.ScratchReused += int(pReuses.Load())
 	} else {
-		for i := range cands {
+		for _, i := range misses {
 			evalExact(gs.bufs, i)
 		}
 	}
-	stats.PairsEvaluated += len(cands)
+	stats.PairsEvaluated += len(misses)
+	if cache != nil {
+		for _, i := range misses {
+			cache.putExact(cands[i].pairIdx, cands[i].dD)
+		}
+	}
+	if cap(gs.vecs) < len(cands) {
+		gs.vecs = make([]objective.Vec2, len(cands))
+	}
+	vecs := gs.vecs[:len(cands)]
+	for i := range cands {
+		vecs[i] = objective.Vec2{R: cands[i].dMinR, D: cands[i].dD}
+	}
 	// Skyline filter (line 6 of Figure 3) then top-k dominating rank
 	// (line 7); the skyline restriction does not change the argmax but
 	// mirrors the paper's two-step description.
@@ -439,36 +460,85 @@ func pruneCandidates(cands []candidate, bufs *scratch.Buffers, stats *Stats) []c
 	return out
 }
 
-// boundCache memoizes each pair's Δ-diversity bounds keyed on the pair's
-// task state version: an entry stays valid until the task gains a worker,
-// so after round k only the pairs of the task assigned in round k miss.
+// boundCache memoizes, per pair, the Δ-diversity bounds and — from the
+// first round the pair survives pruning — its exact ΔE[STD], both keyed on
+// the pair's task state version: an entry stays valid until the task gains
+// a worker, so after round k only the pairs of the task assigned in round k
+// miss. put stores bounds under a new version and so also drops the exact
+// value of the old one.
 type boundCache struct {
-	valid  []bool
-	ver    []uint64
-	lo, hi []float64
+	valid, exact []bool
+	ver          []uint64
+	lo, hi, d    []float64
 }
 
 func newBoundCache(pairs int) *boundCache {
 	return &boundCache{
 		valid: make([]bool, pairs),
+		exact: make([]bool, pairs),
 		ver:   make([]uint64, pairs),
 		lo:    make([]float64, pairs),
 		hi:    make([]float64, pairs),
+		d:     make([]float64, pairs),
 	}
 }
 
-func (c *boundCache) get(pi int32, ver uint64) (lo, hi float64, ok bool) {
+// fill copies the entry of cand's pair into cand — the bounds, plus the
+// exact Δ (marking cand exact) when one is memoised — and reports whether
+// an entry exists at version ver.
+func (c *boundCache) fill(cand *candidate, ver uint64) bool {
+	pi := cand.pairIdx
 	if !c.valid[pi] || c.ver[pi] != ver {
-		return 0, 0, false
+		return false
 	}
-	return c.lo[pi], c.hi[pi], true
+	cand.lbD, cand.ubD = c.lo[pi], c.hi[pi]
+	if c.exact[pi] {
+		cand.dD, cand.exact = c.d[pi], true
+	}
+	return true
 }
 
 func (c *boundCache) put(pi int32, ver uint64, lo, hi float64) {
 	c.valid[pi] = true
+	c.exact[pi] = false
 	c.ver[pi] = ver
 	c.lo[pi] = lo
 	c.hi[pi] = hi
+}
+
+// putExact memoises pi's exact ΔE[STD] under the version its bounds were
+// stored with. The candidate was filled or put in the same round and task
+// states only change between rounds, so that is the current version.
+func (c *boundCache) putExact(pi int32, d float64) {
+	c.exact[pi] = true
+	c.d[pi] = d
+}
+
+// pairConsts holds what the incremental greedy reads per pair every round
+// that cannot change during a solve, indexed like Problem.Pairs: the pair's
+// task state (the pointer is fixed; the state behind it mutates) and its
+// ΔR = RTerm(confidence). Built once per solve, it replaces a map lookup
+// and a log1p per candidate per round.
+type pairConsts struct {
+	state []*objective.TaskState
+	dR    []float64
+}
+
+func newPairConsts(p *Problem, states map[model.TaskID]*objective.TaskState) pairConsts {
+	pc := pairConsts{
+		state: make([]*objective.TaskState, len(p.Pairs)),
+		dR:    make([]float64, len(p.Pairs)),
+	}
+	for i := range p.Pairs {
+		pr := &p.Pairs[i]
+		pc.state[i] = states[pr.Task]
+		// A pair whose worker is not in the instance is never a candidate
+		// (candidates are enumerated from p.In.Workers), so its row stays zero.
+		if w := p.Worker(pr.Worker); w != nil {
+			pc.dR[i] = objective.RTerm(w.Confidence)
+		}
+	}
+	return pc
 }
 
 // minTwoR returns the smallest and second-smallest per-task additive

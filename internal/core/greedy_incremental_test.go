@@ -82,7 +82,9 @@ func TestGreedyIncrementalMatchesNaive(t *testing.T) {
 
 // TestGreedyIncrementalMatchesNaiveSeeded repeats the differential check on
 // top of seeded states: committed workers from a partial assignment shape
-// every Δ-objective, and the variants must still agree pair for pair.
+// every Δ-objective, and the variants must still agree pair for pair. The
+// seeded states are clones with non-zero versions, which is where a stale
+// memoised Δ would surface.
 func TestGreedyIncrementalMatchesNaiveSeeded(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		in := randomInstance(rng.New(seed), 10, 26)
@@ -117,6 +119,12 @@ func TestGreedyIncrementalMatchesNaiveSeeded(t *testing.T) {
 				t.Errorf("seed %d: Greedy{Incremental:%v,Parallel:%v} diverged:\n got %s\nwant %s",
 					seed, g.Incremental, g.Parallel, key, wantKey)
 			}
+			if got.Eval != want.Eval {
+				t.Errorf("seed %d: eval diverged: got %+v want %+v", seed, got.Eval, want.Eval)
+			}
+			if got.Stats.Rounds != want.Stats.Rounds {
+				t.Errorf("seed %d: rounds diverged: got %d want %d", seed, got.Stats.Rounds, want.Stats.Rounds)
+			}
 		}
 	}
 }
@@ -145,6 +153,42 @@ func TestGreedyIncrementalSavesBounds(t *testing.T) {
 	}
 	t.Logf("bounds computed: naive=%d incremental=%d (%.1fx), reused=%d",
 		nb, ib, float64(nb)/float64(ib), inc.Stats.BoundsReused)
+}
+
+// TestGreedyExactDeltaMemo pins the exact-Δ memo: the registered greedy
+// variants agree bit for bit, and the memoised path computes at most a
+// fifth of the exact Δs the per-round recomputation does.
+func TestGreedyExactDeltaMemo(t *testing.T) {
+	p := NewProblem(randomInstance(rng.New(7), 30, 60))
+	solve := func(name string) *Result {
+		s, err := NewByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustSolve(t, s, p, rng.New(1))
+	}
+	naive, memo := solve("greedy-naive"), solve("greedy")
+	wantKey := assignmentKey(naive.Assignment)
+	for _, v := range []struct {
+		name string
+		got  *Result
+	}{{"greedy", memo}, {"greedy-parallel", solve("greedy-parallel")}} {
+		name, got := v.name, v.got
+		if key := assignmentKey(got.Assignment); key != wantKey {
+			t.Errorf("%s diverged from greedy-naive:\n got %s\nwant %s", name, key, wantKey)
+		}
+		if got.Eval != naive.Eval {
+			t.Errorf("%s eval %+v, greedy-naive %+v", name, got.Eval, naive.Eval)
+		}
+		if got.Stats.Rounds != naive.Stats.Rounds {
+			t.Errorf("%s rounds %d, greedy-naive %d", name, got.Stats.Rounds, naive.Stats.Rounds)
+		}
+	}
+	ne, me := naive.Stats.PairsEvaluated, memo.Stats.PairsEvaluated
+	if me == 0 || 5*me > ne {
+		t.Errorf("exact Δs computed: greedy-naive %d, greedy %d (want greedy ≤ 1/5 of greedy-naive and > 0)", ne, me)
+	}
+	t.Logf("exact Δs computed: greedy-naive=%d greedy=%d (%.1fx)", ne, me, float64(ne)/float64(me))
 }
 
 // TestGreedyParallelShards exercises the GOMAXPROCS-sharded exact-Δ

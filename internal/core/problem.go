@@ -115,7 +115,7 @@ func (p *Problem) NewStates(a *model.Assignment) map[model.TaskID]*objective.Tas
 // Stats carries per-solve diagnostics.
 type Stats struct {
 	Rounds          int // greedy rounds or D&C recursion leaves
-	PairsEvaluated  int // exact Δ-diversity evaluations
+	PairsEvaluated  int // exact Δ-diversity values computed (greedy memo hits are not counted)
 	PairsPruned     int // candidates eliminated by Lemma 4.3 bounds
 	BoundsComputed  int // candidate Δ-bound computations (cache misses)
 	BoundsReused    int // candidate Δ-bounds served from the incremental cache

@@ -84,9 +84,10 @@ func Names() []string {
 // and "gtruth" through name normalization alone; the explicit aliases cover
 // longer spellings. The greedy candidate-maintenance variants are
 // registered alongside the default so drivers and CLIs can select them by
-// name: "greedy-naive" is the per-round full-recomputation baseline and
-// "greedy-parallel" adds sharded exact-Δ evaluation on top of the
-// incremental cache — all three produce identical assignments.
+// name: "greedy-naive" is the per-round full-recomputation baseline,
+// "greedy" memoises each pair's Δ-bounds and exact Δ under its task state's
+// version, and "greedy-parallel" shards each round's exact-Δ misses across
+// CPUs on top of that memo — all three produce identical assignments.
 func init() {
 	Register("greedy", func() Solver { return NewGreedy() })
 	Register("greedy-naive", func() Solver { return &Greedy{Prune: true} })

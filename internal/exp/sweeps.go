@@ -633,6 +633,7 @@ func ablationIncremental() Experiment {
 					row.Extra["time_s"] += secs
 					row.Extra["bounds_computed"] += float64(res.Stats.BoundsComputed)
 					row.Extra["bounds_reused"] += float64(res.Stats.BoundsReused)
+					row.Extra["pairs_evaluated"] += float64(res.Stats.PairsEvaluated)
 					row.MinRel["GREEDY"] += res.Eval.MinRel
 					row.TotalSTD["GREEDY"] += res.Eval.TotalESTD
 					runs++

@@ -48,11 +48,11 @@
 //
 // # Performance knobs
 //
-// The greedy solver maintains its candidate Δ-diversity bounds
-// incrementally across rounds (only the previously assigned task's pairs
-// are recomputed) and can evaluate the surviving candidates' exact Δ on
-// all CPUs. Both knobs change cost only — the assignment is bit-identical
-// across all variants:
+// The greedy solver memoises each pair's Δ-diversity bounds and exact Δ
+// across rounds under its task state's version (only the previously
+// assigned task's pairs are recomputed) and can evaluate a round's exact-Δ
+// misses on all CPUs. Both knobs change cost only — the assignment is
+// bit-identical across all variants:
 //
 //	rdbsc.NewGreedy()                                   // incremental (default)
 //	&rdbsc.Greedy{Prune: true}                          // per-round full recompute
@@ -61,8 +61,9 @@
 // The same variants are registered as "greedy", "greedy-naive", and
 // "greedy-parallel" for name-based selection (WithSolverName,
 // EngineConfig.SolverName, the drivers' SolverName fields, and the CLIs'
-// -solver flags). Result.Stats reports BoundsComputed/BoundsReused, the
-// before/after of the incremental cache.
+// -solver flags). Result.Stats reports BoundsComputed/BoundsReused and
+// PairsEvaluated (exact Δs computed, memo hits excluded), the before/after
+// of the incremental cache.
 //
 // # Sharded solving (connected-component decomposition)
 //
