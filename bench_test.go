@@ -146,23 +146,11 @@ func benchSolver(b *testing.B, s Solver) {
 	}
 }
 
-// benchSolverByName resolves a registered variant (e.g. the greedy
-// candidate-maintenance trio) so the bench measures exactly what users
-// select by name.
-func benchSolverByName(b *testing.B, name string) {
-	s, err := NewSolverByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchSolver(b, s)
-}
-
-func BenchmarkSolverGreedy(b *testing.B)         { benchSolver(b, NewGreedy()) }
-func BenchmarkSolverGreedyNaive(b *testing.B)    { benchSolverByName(b, "greedy-naive") }
-func BenchmarkSolverGreedyParallel(b *testing.B) { benchSolverByName(b, "greedy-parallel") }
-func BenchmarkSolverSampling(b *testing.B)       { benchSolver(b, NewSampling()) }
-func BenchmarkSolverDC(b *testing.B)             { benchSolver(b, NewDC()) }
-func BenchmarkSolverGTruth(b *testing.B)         { benchSolver(b, GTruth()) }
+func BenchmarkSolverGreedy(b *testing.B)      { benchSolver(b, NewGreedy()) }
+func BenchmarkSolverGreedyNaive(b *testing.B) { benchSolver(b, &Greedy{Prune: true}) }
+func BenchmarkSolverSampling(b *testing.B)    { benchSolver(b, NewSampling()) }
+func BenchmarkSolverDC(b *testing.B)          { benchSolver(b, NewDC()) }
+func BenchmarkSolverGTruth(b *testing.B)      { benchSolver(b, GTruth()) }
 
 // --- Ablations --------------------------------------------------------------
 

@@ -12,9 +12,8 @@
 //	rdbsc-bench -m 120 -n 240 -seeds 3 -fig 14
 //	rdbsc-bench -fig all -timeout 2m   # stop after 2 minutes, partial tables
 //	rdbsc-bench -fig ablation-incremental   # greedy candidate-maintenance before/after
-//	rdbsc-bench -greedy greedy-parallel -fig 16   # parallel exact-Δ greedy in the sweeps
 //	rdbsc-bench -fig ablation-decompose     # component decomposition: monolithic vs sharded vs cached churn
-//	rdbsc-bench -sharded -fig 13            # every approach through the sharded-* composites
+//	rdbsc-bench -sharded -fig 13            # every approach per connected component (as sharded-<name>)
 //
 // Exit codes: 0 success; 2 usage errors.
 //
@@ -31,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"rdbsc/internal/core"
 	"rdbsc/internal/exp"
 )
 
@@ -43,8 +41,7 @@ func main() {
 		n       = flag.Int("n", 160, "base number of workers")
 		seeds   = flag.Int("seeds", 2, "workload seeds averaged per point")
 		seed    = flag.Int64("seed", 1, "base random seed")
-		greedy  = flag.String("greedy", "greedy", "registry name backing the GREEDY approach: greedy (incremental), greedy-naive, or greedy-parallel")
-		sharded = flag.Bool("sharded", false, "wrap every approach in connected-component decomposition (the sharded-* composites)")
+		sharded = flag.Bool("sharded", false, "wrap every approach in connected-component decomposition (as a sharded-<name> solver does)")
 		timeout = flag.Duration("timeout", 0, "overall deadline; experiments report partial tables when it expires (0 = no limit)")
 	)
 	flag.Parse()
@@ -63,14 +60,7 @@ func main() {
 		defer cancel()
 	}
 
-	if s, err := core.NewByName(*greedy); err != nil {
-		fmt.Fprintf(os.Stderr, "rdbsc-bench: -greedy: %v\n", err)
-		os.Exit(2)
-	} else if _, ok := s.(*core.Greedy); !ok {
-		fmt.Fprintf(os.Stderr, "rdbsc-bench: -greedy %q is not a greedy variant (want greedy, greedy-naive, or greedy-parallel)\n", *greedy)
-		os.Exit(2)
-	}
-	scale := exp.Scale{M: *m, N: *n, Seeds: *seeds, Seed: *seed, Greedy: *greedy, Sharded: *sharded}
+	scale := exp.Scale{M: *m, N: *n, Seeds: *seeds, Seed: *seed, Sharded: *sharded}
 	ids := resolve(*fig)
 	if len(ids) == 0 {
 		fmt.Fprintf(os.Stderr, "rdbsc-bench: unknown experiment %q; try -list\n", *fig)

@@ -5,19 +5,16 @@
 // Solvers are resolved through the registry (-solver accepts any name from
 // `rdbsc-solve -list-solvers`), and -timeout bounds the solve with a
 // context deadline: when it expires, the best partial assignment found so
-// far is reported. The greedy solver's candidate-maintenance knobs are
-// exposed as -greedy-naive (per-round full recomputation) and
-// -greedy-parallel (sharded exact-Δ evaluation); both change cost only,
-// never the assignment. -sharded decomposes the instance into the
-// connected components of its reachability graph and solves them
-// concurrently (equivalently, use a "sharded-<solver>" registry name).
+// far is reported. Prefixing a name with "sharded-" decomposes the
+// instance into the connected components of its reachability graph and
+// solves them concurrently.
 //
 // Usage:
 //
 //	rdbsc-gen -m 500 -n 1000 -out w
 //	rdbsc-solve -in w -solver dc -beta 0.5 -assignment out.csv
 //	rdbsc-solve -in w -solver greedy -timeout 5s -progress
-//	rdbsc-solve -in w -solver greedy -sharded   # or: -solver sharded-greedy
+//	rdbsc-solve -in w -solver sharded-greedy
 package main
 
 import (
@@ -41,15 +38,12 @@ import (
 func main() {
 	var (
 		prefix      = flag.String("in", "workload", "input file prefix (expects <prefix>_tasks.csv and <prefix>_workers.csv)")
-		solverName  = flag.String("solver", "dc", "algorithm, by registry name (see -list-solvers)")
+		solverName  = flag.String("solver", "dc", "algorithm, by registry name (see -list-solvers); prefix sharded- to solve per connected component")
 		listSolvers = flag.Bool("list-solvers", false, "list registered solvers and exit")
 		beta        = flag.Float64("beta", 0.5, "diversity weight β")
 		seed        = flag.Int64("seed", 1, "random seed")
 		useIndex    = flag.Bool("index", true, "retrieve valid pairs via the RDB-SC-Grid index")
 		wait        = flag.Bool("wait", false, "allow workers to wait for a task's period to open")
-		gNaive      = flag.Bool("greedy-naive", false, "greedy only: recompute every candidate bound every round (the pre-incremental baseline)")
-		gParallel   = flag.Bool("greedy-parallel", false, "greedy only: evaluate exact Δ-diversity candidates on all CPUs")
-		sharded     = flag.Bool("sharded", false, "decompose into connected components and solve them concurrently (equivalent to a sharded-<solver> registry name)")
 		timeout     = flag.Duration("timeout", 0, "abort the solve after this long, reporting the partial result (0 = no limit)")
 		progress    = flag.Bool("progress", false, "stream per-round solver progress to stderr")
 		outFile     = flag.String("assignment", "", "write the assignment CSV to this path")
@@ -67,21 +61,6 @@ func main() {
 	solver, err := core.NewByName(*solverName)
 	if err != nil {
 		fatal(err)
-	}
-	if g, ok := solver.(*core.Greedy); ok {
-		// The candidate-maintenance knobs apply to any greedy variant the
-		// registry resolved; they change cost, never the assignment.
-		if *gNaive {
-			g.Incremental = false
-		}
-		if *gParallel {
-			g.Parallel = true
-		}
-	} else if *gNaive || *gParallel {
-		fatal(fmt.Errorf("-greedy-naive/-greedy-parallel apply only to greedy solvers, not %q", solver.Name()))
-	}
-	if *sharded {
-		solver = core.NewSharded(solver)
 	}
 	in, err := dataset.LoadInstance(*prefix, *beta)
 	if err != nil {

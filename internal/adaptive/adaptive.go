@@ -2,7 +2,7 @@
 // request, it inspects the snapshot's component-size histogram (from
 // internal/decompose) and a hardness-derived difficulty estimate
 // (internal/hardness), and picks a solver lane per connected component —
-// exhaustive for tiny components, greedy-parallel for mid-sized ones,
+// exhaustive for tiny components, the default greedy for mid-sized ones,
 // sampling under a computed round cap for hard ones — so that the
 // predicted solve time fits an operator-declared p99 budget
 // (rdbsc-server -slo-p99).
@@ -44,7 +44,7 @@ import (
 type Lane uint8
 
 // The lanes, cheapest-exact first: LaneExhaustive enumerates tiny
-// components exactly, LaneGreedy runs the parallel greedy approximation on
+// components exactly, LaneGreedy runs the greedy approximation on
 // mid-sized ones, LaneSampling draws a budget-capped number of random
 // assignments from hard ones.
 const (

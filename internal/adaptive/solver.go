@@ -37,9 +37,8 @@ func NewSolver(ctrl *Controller) *Solver { return &Solver{ctrl: ctrl} }
 func (s *Solver) Name() string { return "ADAPTIVE" }
 
 // laneSolver builds the fresh inner solver for one decision. Greedy is the
-// registry's "greedy-parallel" configuration (per-pair cache of Δ-bounds
-// and exact Δ, keyed on the task state's version, with a round's exact-Δ
-// misses sharded across CPUs); sampling runs in parallel mode under the
+// registry's "greedy" (per-pair cache of Δ-bounds and exact Δ, keyed on
+// the task state's version); sampling runs in parallel mode under the
 // decision's round cap — both deterministic for a fixed seed.
 func (s *Solver) laneSolver(d Decision) core.Solver {
 	switch d.Lane {
@@ -48,7 +47,7 @@ func (s *Solver) laneSolver(d Decision) core.Solver {
 	case LaneSampling:
 		return &core.Sampling{FixedK: d.SampleCap, Parallel: true}
 	default:
-		return &core.Greedy{Prune: true, Incremental: true, Parallel: true}
+		return core.NewGreedy()
 	}
 }
 

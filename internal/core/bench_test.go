@@ -14,14 +14,10 @@ func benchProblem(b *testing.B, m, n int) *Problem {
 	return NewProblem(in)
 }
 
-// benchGreedy runs one registered greedy variant and reports its
+// benchGreedy runs one greedy configuration and reports its
 // bound-computation profile, the before/after of the incremental candidate
 // maintenance.
-func benchGreedy(b *testing.B, name string) {
-	g, err := NewByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchGreedy(b *testing.B, g *Greedy) {
 	p := benchProblem(b, 40, 80)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -33,11 +29,9 @@ func benchGreedy(b *testing.B, name string) {
 	b.ReportMetric(float64(last.Stats.BoundsReused), "boundsReused")
 }
 
-func BenchmarkGreedySolve(b *testing.B) { benchGreedy(b, "greedy") }
+func BenchmarkGreedySolve(b *testing.B) { benchGreedy(b, NewGreedy()) }
 
-func BenchmarkGreedySolveNaive(b *testing.B) { benchGreedy(b, "greedy-naive") }
-
-func BenchmarkGreedySolveParallel(b *testing.B) { benchGreedy(b, "greedy-parallel") }
+func BenchmarkGreedySolveNaive(b *testing.B) { benchGreedy(b, &Greedy{Prune: true}) }
 
 func BenchmarkGreedySolveNoPrune(b *testing.B) {
 	p := benchProblem(b, 40, 80)

@@ -4,10 +4,8 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"rdbsc/internal/model"
 	"rdbsc/internal/objective"
@@ -43,14 +41,6 @@ type Greedy struct {
 	// rounds in a per-pair cache keyed on the task state's version, so only
 	// the pairs of the task assigned in the previous round recompute.
 	Incremental bool
-	// Parallel evaluates a round's exact-Δ misses (surviving candidates
-	// with no memoised value) on all CPUs in GOMAXPROCS-bounded shards; a
-	// round with at most one miss evaluates inline. The winner is identical
-	// to the sequential run: every candidate's exact Δ is a pure function
-	// of the (unmutated) task states, and the tie-broken argmax scan stays
-	// sequential over the stable candidate order, mirroring the seed-stable
-	// design of Sampling.Parallel.
-	Parallel bool
 }
 
 // NewGreedy returns the default greedy solver (pruning and incremental
@@ -65,9 +55,7 @@ func (g *Greedy) Name() string { return "GREEDY" }
 // vectors, and a scratch.Buffers feeding every slice temporary underneath
 // (bound/delta evaluation, skyline, dominance scores, pruning). Solves
 // check one out of a process-wide sync.Pool, so steady-state serving reuses
-// warmed buffers across requests too. It is single-goroutine state; the
-// parallel exact-Δ shards take their own scratch.Buffers instead of
-// sharing this one.
+// warmed buffers across requests too. It is single-goroutine state.
 type greedyScratch struct {
 	bufs   *scratch.Buffers
 	cands  []candidate
@@ -314,10 +302,7 @@ func (g *Greedy) collectCached(p *Problem, pc pairConsts, free map[model.WorkerI
 // selectBest computes the exact diversity increase of every surviving
 // candidate not already marked exact, memoises the new values in cache (nil
 // on the naive path), ranks the candidates by dominance score, and returns
-// the winner. With Parallel set and more than one miss, the exact O(r²) Δ
-// evaluations run in GOMAXPROCS-bounded shards; the states are only read,
-// and the winner scan stays sequential over the stable candidate order, so
-// the result matches the sequential path exactly.
+// the winner.
 func (g *Greedy) selectBest(p *Problem, states map[model.TaskID]*objective.TaskState, cands []candidate, cache *boundCache, gs *greedyScratch, stats *Stats) candidate {
 	misses := gs.misses[:0]
 	for i := range cands {
@@ -326,43 +311,12 @@ func (g *Greedy) selectBest(p *Problem, states map[model.TaskID]*objective.TaskS
 		}
 	}
 	gs.misses = misses
-	evalExact := func(bufs *scratch.Buffers, i int) {
+	for _, i := range misses {
 		c := &cands[i]
 		pr := &p.Pairs[c.pairIdx]
 		w := p.Worker(pr.Worker)
-		_, c.dD = states[pr.Task].DeltaIfAddBuf(bufs, w.Confidence, pr.Arrival, pr.Angle)
+		_, c.dD = states[pr.Task].DeltaIfAddBuf(gs.bufs, w.Confidence, pr.Arrival, pr.Angle)
 		c.exact = true
-	}
-	if g.Parallel && len(misses) > 1 {
-		shards := runtime.GOMAXPROCS(0)
-		if shards > len(misses) {
-			shards = len(misses)
-		}
-		// Buffers are single-goroutine: each shard checks its own out of
-		// the process-wide reservoir and folds its counters back atomically.
-		var pAllocs, pReuses atomic.Int64
-		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				bufs := scratch.Get()
-				for j := s; j < len(misses); j += shards {
-					evalExact(bufs, misses[j])
-				}
-				a, r := bufs.Counters()
-				pAllocs.Add(int64(a))
-				pReuses.Add(int64(r))
-				scratch.Put(bufs)
-			}(s)
-		}
-		wg.Wait()
-		stats.ScratchAllocs += int(pAllocs.Load())
-		stats.ScratchReused += int(pReuses.Load())
-	} else {
-		for _, i := range misses {
-			evalExact(gs.bufs, i)
-		}
 	}
 	stats.PairsEvaluated += len(misses)
 	if cache != nil {

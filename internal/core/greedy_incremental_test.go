@@ -27,21 +27,10 @@ func assignmentKey(a *model.Assignment) string {
 	return out
 }
 
-// greedyVariants returns the candidate-maintenance variants that must all
-// produce the same assignment as the naive baseline with the same Prune
-// setting.
-func greedyVariants(prune bool) []*Greedy {
-	return []*Greedy{
-		{Prune: prune, Incremental: true},
-		{Prune: prune, Incremental: true, Parallel: true},
-	}
-}
-
 // TestGreedyIncrementalMatchesNaive is the differential suite of the
 // incremental candidate maintenance: across randomized instances, seeds,
-// and pruning settings, the incremental path (with and without parallel
-// exact-Δ evaluation) must return assignments identical to the per-round
-// full-recomputation baseline.
+// and pruning settings, the incremental path must return assignments
+// identical to the per-round full-recomputation baseline.
 func TestGreedyIncrementalMatchesNaive(t *testing.T) {
 	builders := []struct {
 		name string
@@ -61,18 +50,15 @@ func TestGreedyIncrementalMatchesNaive(t *testing.T) {
 					naive := &Greedy{Prune: prune}
 					want := mustSolve(t, naive, p, rng.New(seed))
 					wantKey := assignmentKey(want.Assignment)
-					for _, g := range greedyVariants(prune) {
-						got := mustSolve(t, g, p, rng.New(seed))
-						if key := assignmentKey(got.Assignment); key != wantKey {
-							t.Errorf("Greedy{Incremental:%v,Parallel:%v} diverged:\n got %s\nwant %s",
-								g.Incremental, g.Parallel, key, wantKey)
-						}
-						if got.Eval != want.Eval {
-							t.Errorf("eval diverged: got %+v want %+v", got.Eval, want.Eval)
-						}
-						if got.Stats.Rounds != want.Stats.Rounds {
-							t.Errorf("rounds diverged: got %d want %d", got.Stats.Rounds, want.Stats.Rounds)
-						}
+					got := mustSolve(t, &Greedy{Prune: prune, Incremental: true}, p, rng.New(seed))
+					if key := assignmentKey(got.Assignment); key != wantKey {
+						t.Errorf("incremental greedy diverged:\n got %s\nwant %s", key, wantKey)
+					}
+					if got.Eval != want.Eval {
+						t.Errorf("eval diverged: got %+v want %+v", got.Eval, want.Eval)
+					}
+					if got.Stats.Rounds != want.Stats.Rounds {
+						t.Errorf("rounds diverged: got %d want %d", got.Stats.Rounds, want.Stats.Rounds)
 					}
 				})
 			}
@@ -82,7 +68,7 @@ func TestGreedyIncrementalMatchesNaive(t *testing.T) {
 
 // TestGreedyIncrementalMatchesNaiveSeeded repeats the differential check on
 // top of seeded states: committed workers from a partial assignment shape
-// every Δ-objective, and the variants must still agree pair for pair. The
+// every Δ-objective, and both loops must still agree pair for pair. The
 // seeded states are clones with non-zero versions, which is where a stale
 // memoised Δ would surface.
 func TestGreedyIncrementalMatchesNaiveSeeded(t *testing.T) {
@@ -113,18 +99,15 @@ func TestGreedyIncrementalMatchesNaiveSeeded(t *testing.T) {
 		}
 		want := solveFrom(&Greedy{Prune: true})
 		wantKey := assignmentKey(want.Assignment)
-		for _, g := range greedyVariants(true) {
-			got := solveFrom(g)
-			if key := assignmentKey(got.Assignment); key != wantKey {
-				t.Errorf("seed %d: Greedy{Incremental:%v,Parallel:%v} diverged:\n got %s\nwant %s",
-					seed, g.Incremental, g.Parallel, key, wantKey)
-			}
-			if got.Eval != want.Eval {
-				t.Errorf("seed %d: eval diverged: got %+v want %+v", seed, got.Eval, want.Eval)
-			}
-			if got.Stats.Rounds != want.Stats.Rounds {
-				t.Errorf("seed %d: rounds diverged: got %d want %d", seed, got.Stats.Rounds, want.Stats.Rounds)
-			}
+		got := solveFrom(NewGreedy())
+		if key := assignmentKey(got.Assignment); key != wantKey {
+			t.Errorf("seed %d: incremental greedy diverged:\n got %s\nwant %s", seed, key, wantKey)
+		}
+		if got.Eval != want.Eval {
+			t.Errorf("seed %d: eval diverged: got %+v want %+v", seed, got.Eval, want.Eval)
+		}
+		if got.Stats.Rounds != want.Stats.Rounds {
+			t.Errorf("seed %d: rounds diverged: got %d want %d", seed, got.Stats.Rounds, want.Stats.Rounds)
 		}
 	}
 }
@@ -156,83 +139,37 @@ func TestGreedyIncrementalSavesBounds(t *testing.T) {
 }
 
 // TestGreedyExactDeltaMemo pins the exact-Δ memo: the registered greedy
-// variants agree bit for bit, and the memoised path computes at most a
-// fifth of the exact Δs the per-round recomputation does.
+// agrees bit for bit with the naive loop, and computes at most a fifth of
+// the exact Δs the per-round recomputation does.
 func TestGreedyExactDeltaMemo(t *testing.T) {
 	p := NewProblem(randomInstance(rng.New(7), 30, 60))
-	solve := func(name string) *Result {
-		s, err := NewByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mustSolve(t, s, p, rng.New(1))
+	naive := mustSolve(t, &Greedy{Prune: true}, p, rng.New(1))
+	memo := mustSolve(t, mustNewByName(t, "greedy"), p, rng.New(1))
+	if key, wantKey := assignmentKey(memo.Assignment), assignmentKey(naive.Assignment); key != wantKey {
+		t.Errorf("greedy diverged from the naive loop:\n got %s\nwant %s", key, wantKey)
 	}
-	naive, memo := solve("greedy-naive"), solve("greedy")
-	wantKey := assignmentKey(naive.Assignment)
-	for _, v := range []struct {
-		name string
-		got  *Result
-	}{{"greedy", memo}, {"greedy-parallel", solve("greedy-parallel")}} {
-		name, got := v.name, v.got
-		if key := assignmentKey(got.Assignment); key != wantKey {
-			t.Errorf("%s diverged from greedy-naive:\n got %s\nwant %s", name, key, wantKey)
-		}
-		if got.Eval != naive.Eval {
-			t.Errorf("%s eval %+v, greedy-naive %+v", name, got.Eval, naive.Eval)
-		}
-		if got.Stats.Rounds != naive.Stats.Rounds {
-			t.Errorf("%s rounds %d, greedy-naive %d", name, got.Stats.Rounds, naive.Stats.Rounds)
-		}
+	if memo.Eval != naive.Eval {
+		t.Errorf("greedy eval %+v, naive %+v", memo.Eval, naive.Eval)
+	}
+	if memo.Stats.Rounds != naive.Stats.Rounds {
+		t.Errorf("greedy rounds %d, naive %d", memo.Stats.Rounds, naive.Stats.Rounds)
 	}
 	ne, me := naive.Stats.PairsEvaluated, memo.Stats.PairsEvaluated
 	if me == 0 || 5*me > ne {
-		t.Errorf("exact Δs computed: greedy-naive %d, greedy %d (want greedy ≤ 1/5 of greedy-naive and > 0)", ne, me)
+		t.Errorf("exact Δs computed: naive %d, greedy %d (want greedy ≤ 1/5 of naive and > 0)", ne, me)
 	}
-	t.Logf("exact Δs computed: greedy-naive=%d greedy=%d (%.1fx)", ne, me, float64(ne)/float64(me))
+	t.Logf("exact Δs computed: naive=%d greedy=%d (%.1fx)", ne, me, float64(ne)/float64(me))
 }
 
-// TestGreedyParallelShards exercises the GOMAXPROCS-sharded exact-Δ
-// evaluation on an instance large enough for many concurrent shards; run
-// under -race it doubles as the data-race check for the read-only state
-// sharing.
-func TestGreedyParallelShards(t *testing.T) {
-	in := randomInstance(rng.New(11), 20, 80)
-	p := NewProblem(in)
-	seq := mustSolve(t, &Greedy{Prune: true, Incremental: true}, p, rng.New(1))
-	par := mustSolve(t, &Greedy{Prune: true, Incremental: true, Parallel: true}, p, rng.New(1))
-	if assignmentKey(seq.Assignment) != assignmentKey(par.Assignment) {
-		t.Fatal("parallel exact-Δ evaluation changed the assignment")
-	}
-	if seq.Stats.PairsEvaluated != par.Stats.PairsEvaluated {
-		t.Errorf("pairs evaluated diverged: seq=%d par=%d",
-			seq.Stats.PairsEvaluated, par.Stats.PairsEvaluated)
-	}
-}
-
-// TestGreedyRegistryVariants checks that the three greedy registry entries
-// resolve to the intended knob settings.
+// TestGreedyRegistryVariants checks that the registered greedy resolves to
+// the default knob settings: pruning and incremental maintenance on.
 func TestGreedyRegistryVariants(t *testing.T) {
-	cases := []struct {
-		name                 string
-		incremental, paralll bool
-	}{
-		{"greedy", true, false},
-		{"greedy-naive", false, false},
-		{"greedy-parallel", true, true},
+	g, ok := mustNewByName(t, "greedy").(*Greedy)
+	if !ok {
+		t.Fatalf("NewByName(\"greedy\") is not a *Greedy")
 	}
-	for _, c := range cases {
-		s, err := NewByName(c.name)
-		if err != nil {
-			t.Fatalf("NewByName(%q): %v", c.name, err)
-		}
-		g, ok := s.(*Greedy)
-		if !ok {
-			t.Fatalf("NewByName(%q) = %T, want *Greedy", c.name, s)
-		}
-		if !g.Prune || g.Incremental != c.incremental || g.Parallel != c.paralll {
-			t.Errorf("NewByName(%q) = %+v, want Prune=true Incremental=%v Parallel=%v",
-				c.name, g, c.incremental, c.paralll)
-		}
+	if *g != *NewGreedy() || !g.Prune || !g.Incremental {
+		t.Errorf("NewByName(\"greedy\") = %+v, want Prune=true Incremental=true", g)
 	}
 }
 

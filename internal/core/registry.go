@@ -55,18 +55,34 @@ func Register(name string, factory SolverFactory, aliases ...string) {
 	registry.names = append(registry.names, name)
 }
 
-// NewByName builds a fresh solver by its registered name (or alias). Names
-// are matched case- and punctuation-insensitively. Unknown names return an
-// error listing the registered solvers.
+// shardedPrefix is the normalized prefix that wraps a registered solver in
+// component decomposition: "sharded-<name>" resolves <name> and returns
+// NewSharded over it. Resolution is one level deep, so "sharded-sharded-dc"
+// is an unknown name.
+const shardedPrefix = "sharded"
+
+// NewByName builds a fresh solver by its registered name (or alias), or by
+// "sharded-" followed by one. Names are matched case- and
+// punctuation-insensitively. Unknown names return an error listing the
+// registered solvers.
 func NewByName(name string) (Solver, error) {
+	key := normalizeName(name)
 	registry.RLock()
-	factory, ok := registry.byKey[normalizeName(name)]
+	factory, ok := registry.byKey[key]
+	sharded := false
+	if inner, isSharded := strings.CutPrefix(key, shardedPrefix); !ok && isSharded {
+		factory, ok = registry.byKey[inner]
+		sharded = ok
+	}
 	known := append([]string(nil), registry.names...)
 	registry.RUnlock()
 	if !ok {
 		sort.Strings(known)
-		return nil, fmt.Errorf("core: unknown solver %q (registered: %s)",
-			name, strings.Join(known, ", "))
+		return nil, fmt.Errorf("core: unknown solver %q (registered: %s; prefix any of them with %q to solve per connected component)",
+			name, strings.Join(known, ", "), shardedPrefix+"-")
+	}
+	if sharded {
+		return NewSharded(factory()), nil
 	}
 	return factory(), nil
 }
@@ -82,18 +98,9 @@ func Names() []string {
 
 // The built-in solvers of the paper. "d&c" and "g-truth" resolve to "dc"
 // and "gtruth" through name normalization alone; the explicit aliases cover
-// longer spellings. The greedy candidate-maintenance variants are
-// registered alongside the default so drivers and CLIs can select them by
-// name: "greedy-naive" is the per-round full-recomputation baseline,
-// "greedy" memoises each pair's Δ-bounds and exact Δ under its task state's
-// version, and "greedy-parallel" shards each round's exact-Δ misses across
-// CPUs on top of that memo — all three produce identical assignments.
+// longer spellings.
 func init() {
 	Register("greedy", func() Solver { return NewGreedy() })
-	Register("greedy-naive", func() Solver { return &Greedy{Prune: true} })
-	Register("greedy-parallel", func() Solver {
-		return &Greedy{Prune: true, Incremental: true, Parallel: true}
-	})
 	Register("sampling", func() Solver { return NewSampling() })
 	Register("dc", func() Solver { return NewDC() }, "divide-and-conquer")
 	Register("gtruth", func() Solver { return GTruth() })

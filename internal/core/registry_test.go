@@ -53,7 +53,7 @@ func TestRegistryUnknownName(t *testing.T) {
 		t.Fatal("expected an error for an unknown solver")
 	}
 	msg := err.Error()
-	for _, want := range []string{"simulated-annealing", "greedy", "dc"} {
+	for _, want := range []string{"simulated-annealing", "greedy", "dc", `"sharded-"`} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q does not mention %q", msg, want)
 		}

@@ -334,23 +334,3 @@ func CombineComponentErrors(errs []error) error {
 	}
 	return interruptedErr
 }
-
-// The sharded composites of the built-in solvers: "sharded-<inner>" wraps
-// the registered inner solver in component decomposition. The inner solver
-// is resolved lazily at construction time, so the composite factories do
-// not depend on init order.
-func init() {
-	for _, inner := range []string{
-		"greedy", "greedy-naive", "greedy-parallel",
-		"sampling", "dc", "gtruth", "exhaustive",
-	} {
-		inner := inner
-		Register("sharded-"+inner, func() Solver {
-			s, err := NewByName(inner)
-			if err != nil {
-				panic("core: sharded composite: " + err.Error())
-			}
-			return NewSharded(s)
-		})
-	}
-}

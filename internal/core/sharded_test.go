@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -15,17 +16,15 @@ import (
 	"rdbsc/internal/rng"
 )
 
-// baseSolverNames returns the built-in non-composite solver names: the
-// inner solvers the sharded wrapper must match. The list is static rather
-// than scraped from the registry so that solvers registered ad hoc by
-// other tests (registration is global) cannot make the suite
-// order-dependent; TestShardedRegistryComposites cross-checks it against
-// the registry.
+// baseSolverNames returns the inner solvers the sharded wrapper must
+// match: every built-in registry name plus "greedy-naive", the naive greedy
+// loop the incremental greedy is tested against, which newInner
+// constructs directly. The list is static rather than scraped from the
+// registry so that solvers registered ad hoc by other tests (registration
+// is global) cannot make the suite order-dependent;
+// TestShardedRegistryComposites cross-checks it against the registry.
 func baseSolverNames() []string {
-	return []string{
-		"greedy", "greedy-naive", "greedy-parallel",
-		"sampling", "dc", "gtruth", "exhaustive",
-	}
+	return []string{"greedy", "greedy-naive", "sampling", "dc", "gtruth", "exhaustive"}
 }
 
 func mustNewByName(t *testing.T, name string) Solver {
@@ -35,6 +34,15 @@ func mustNewByName(t *testing.T, name string) Solver {
 		t.Fatalf("NewByName(%q): %v", name, err)
 	}
 	return s
+}
+
+// newInner builds one of baseSolverNames' solvers.
+func newInner(t *testing.T, name string) Solver {
+	t.Helper()
+	if name == "greedy-naive" {
+		return &Greedy{Prune: true}
+	}
+	return mustNewByName(t, name)
 }
 
 // islandsInstance draws the standard multi-island differential topology:
@@ -52,34 +60,44 @@ func islandsInstance(t *testing.T, seed int64, islands, m, n int) *Problem {
 	return p
 }
 
-// TestShardedRegistryComposites checks that every base solver has its
-// sharded composite registered and that composites resolve to a Sharded
-// wrapper around the right inner solver.
+// TestShardedRegistryComposites checks that "sharded-<name>" resolves, for
+// every registered name and alias, to a Sharded wrapper around that
+// solver, one level deep only.
 func TestShardedRegistryComposites(t *testing.T) {
 	registered := make(map[string]bool)
 	for _, name := range Names() {
 		registered[name] = true
 	}
 	for _, name := range baseSolverNames() {
-		if !registered[name] {
+		if name != "greedy-naive" && !registered[name] {
 			t.Fatalf("base solver %q not registered", name)
 		}
-		if !registered["sharded-"+name] {
-			t.Fatalf("composite sharded-%s not registered", name)
-		}
 	}
-	for _, name := range baseSolverNames() {
+	for _, name := range []string{"greedy", "sampling", "dc", "gtruth", "exhaustive", "D&C", "exact"} {
 		s := mustNewByName(t, "sharded-"+name)
 		sh, ok := s.(*Sharded)
 		if !ok {
 			t.Fatalf("sharded-%s resolved to %T, want *Sharded", name, s)
 		}
 		inner := mustNewByName(t, name)
+		if _, nested := inner.(*Sharded); nested {
+			t.Fatalf("%s resolved to a *Sharded", name)
+		}
 		if sh.Inner.Name() != inner.Name() {
 			t.Errorf("sharded-%s wraps %q, want %q", name, sh.Inner.Name(), inner.Name())
 		}
 		if want := "SHARDED(" + inner.Name() + ")"; s.Name() != want {
 			t.Errorf("sharded-%s Name() = %q, want %q", name, s.Name(), want)
+		}
+	}
+	for _, name := range []string{"sharded-sharded-dc", "sharded-", "sharded-no-such-solver"} {
+		if _, err := NewByName(name); err == nil {
+			t.Errorf("NewByName(%q) resolved, want an unknown-solver error", name)
+		}
+	}
+	for name := range registered {
+		if strings.HasPrefix(name, "sharded") {
+			t.Errorf("composite %q is registered; the sharded- prefix is resolved, not registered", name)
 		}
 	}
 }
@@ -98,8 +116,8 @@ func TestShardedSingleComponentBitIdentical(t *testing.T) {
 		}
 		for _, name := range baseSolverNames() {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				want := mustSolve(t, mustNewByName(t, name), p, rng.New(seed))
-				got := mustSolve(t, NewSharded(mustNewByName(t, name)), p, rng.New(seed))
+				want := mustSolve(t, newInner(t, name), p, rng.New(seed))
+				got := mustSolve(t, NewSharded(newInner(t, name)), p, rng.New(seed))
 				if gk, wk := assignmentKey(got.Assignment), assignmentKey(want.Assignment); gk != wk {
 					t.Errorf("assignment diverged:\n got %s\nwant %s", gk, wk)
 				}
@@ -127,7 +145,7 @@ func TestShardedMultiIslandMatchesPerComponentMonolithic(t *testing.T) {
 		part := decompose.Build(p.Pairs)
 		for _, name := range baseSolverNames() {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				got := mustSolve(t, NewSharded(mustNewByName(t, name)), p, rng.New(seed))
+				got := mustSolve(t, NewSharded(newInner(t, name)), p, rng.New(seed))
 
 				// Reference: solve each component monolithically with the
 				// same derived seeds, merge by hand.
@@ -136,7 +154,7 @@ func TestShardedMultiIslandMatchesPerComponentMonolithic(t *testing.T) {
 				for i := range part.Components {
 					compSeed := src.Int63()
 					sub := ComponentProblem(p, &part.Components[i])
-					res, err := mustNewByName(t, name).Solve(context.Background(), sub,
+					res, err := newInner(t, name).Solve(context.Background(), sub,
 						&SolveOptions{Source: rng.New(compSeed)})
 					if err != nil {
 						t.Fatalf("component %d: %v", i, err)
@@ -175,8 +193,8 @@ func TestShardedParallelMatchesSequential(t *testing.T) {
 				continue // population too large at this island size
 			}
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				seq := mustSolve(t, &Sharded{Inner: mustNewByName(t, name), Workers: 1}, p, rng.New(seed))
-				par := mustSolve(t, &Sharded{Inner: mustNewByName(t, name), Workers: 8}, p, rng.New(seed))
+				seq := mustSolve(t, &Sharded{Inner: newInner(t, name), Workers: 1}, p, rng.New(seed))
+				par := mustSolve(t, &Sharded{Inner: newInner(t, name), Workers: 8}, p, rng.New(seed))
 				if sk, pk := assignmentKey(seq.Assignment), assignmentKey(par.Assignment); sk != pk {
 					t.Errorf("assignment diverged:\n seq %s\n par %s", sk, pk)
 				}
@@ -212,9 +230,9 @@ func TestShardedSeededStates(t *testing.T) {
 		}
 		seedStates := p.NewStates(committed)
 
-		for _, name := range []string{"greedy", "greedy-naive", "greedy-parallel", "sampling", "dc"} {
+		for _, name := range []string{"greedy", "greedy-naive", "sampling", "dc"} {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				sharded := NewSharded(mustNewByName(t, name))
+				sharded := NewSharded(newInner(t, name))
 				got, err := sharded.Solve(context.Background(), p,
 					&SolveOptions{Source: rng.New(seed), SeedStates: seedStates})
 				if err != nil {
@@ -225,7 +243,7 @@ func TestShardedSeededStates(t *testing.T) {
 				for ci := range part.Components {
 					compSeed := src.Int63()
 					sub := ComponentProblem(p, &part.Components[ci])
-					res, err := mustNewByName(t, name).Solve(context.Background(), sub,
+					res, err := newInner(t, name).Solve(context.Background(), sub,
 						&SolveOptions{
 							Source:     rng.New(compSeed),
 							SeedStates: ComponentSeedStates(seedStates, &part.Components[ci]),
@@ -257,7 +275,7 @@ func TestShardedCancelledBeforeSolve(t *testing.T) {
 	cancel()
 	for _, name := range baseSolverNames() {
 		t.Run(name, func(t *testing.T) {
-			res, err := NewSharded(mustNewByName(t, name)).Solve(ctx, p, &SolveOptions{Source: rng.New(1)})
+			res, err := NewSharded(newInner(t, name)).Solve(ctx, p, &SolveOptions{Source: rng.New(1)})
 			if !errors.Is(err, ErrInterrupted) {
 				t.Fatalf("err = %v, want ErrInterrupted", err)
 			}
@@ -355,9 +373,9 @@ func TestShardedForeignSeededCommitments(t *testing.T) {
 		crossTask.ID: stCross,
 	}
 
-	for _, name := range []string{"greedy", "greedy-naive", "greedy-parallel"} {
+	for _, name := range []string{"greedy", "greedy-naive"} {
 		t.Run(name, func(t *testing.T) {
-			res, err := NewSharded(mustNewByName(t, name)).Solve(context.Background(), p,
+			res, err := NewSharded(newInner(t, name)).Solve(context.Background(), p,
 				&SolveOptions{Source: rng.New(1), SeedStates: seeds})
 			if err != nil {
 				t.Fatalf("sharded: %v", err)
@@ -368,7 +386,7 @@ func TestShardedForeignSeededCommitments(t *testing.T) {
 			if res.Assignment.Assigned(wForeign) {
 				t.Errorf("worker %d committed across components was re-assigned", wForeign)
 			}
-			mono, err := mustNewByName(t, name).Solve(context.Background(), p,
+			mono, err := newInner(t, name).Solve(context.Background(), p,
 				&SolveOptions{Source: rng.New(1), SeedStates: seeds})
 			if err != nil {
 				t.Fatalf("monolithic: %v", err)

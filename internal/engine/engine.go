@@ -47,7 +47,7 @@ type Config struct {
 	// solver, the paper's best-performing approach).
 	Solver core.Solver
 	// SolverName selects the solver through the registry when Solver is
-	// nil — e.g. "greedy", "greedy-parallel", "greedy-naive", "dc". An
+	// nil — e.g. "greedy", "dc", "sharded-dc". An
 	// unknown name panics at construction: like a duplicate Register, a
 	// misspelled solver is a programming error best caught immediately.
 	SolverName string

@@ -180,9 +180,9 @@ func TestEngineEmptyWithSeedsIsNotInfeasible(t *testing.T) {
 // TestEngineSolverNameResolvesThroughRegistry covers the Config.SolverName
 // knob and its panic-on-typo contract.
 func TestEngineSolverNameResolvesThroughRegistry(t *testing.T) {
-	eng := New(Config{SolverName: "greedy-parallel"})
-	if got := eng.Solver().Name(); got != "GREEDY" {
-		t.Errorf("SolverName resolved to %q, want GREEDY", got)
+	eng := New(Config{SolverName: "sharded-greedy"})
+	if got := eng.Solver().Name(); got != "SHARDED(GREEDY)" {
+		t.Errorf("SolverName resolved to %q, want SHARDED(GREEDY)", got)
 	}
 	defer func() {
 		if recover() == nil {

@@ -66,10 +66,7 @@ func oneShotRows(ctx context.Context, sc Scale, in *model.Instance, seed int64, 
 		{"monolithic", false},
 		{"sharded", true},
 	} {
-		solver, err := core.NewByName(sc.Greedy)
-		if err != nil {
-			panic(err) // the greedy variants are always registered
-		}
+		var solver core.Solver = core.NewGreedy()
 		if variant.wrap {
 			solver = core.NewSharded(solver)
 		}
@@ -105,7 +102,7 @@ func churnRows(ctx context.Context, sc Scale, in *model.Instance, seed int64, ro
 		{"engine+decompose", true},
 	} {
 		eng := engine.NewFromInstance(in, engine.Config{
-			SolverName: sc.Greedy,
+			SolverName: "greedy",
 			Decompose:  variant.decompose,
 		})
 		src := rng.New(seed + 7)

@@ -56,13 +56,8 @@ type Scale struct {
 	Seeds int
 	// Seed is the base random seed (default 1).
 	Seed int64
-	// Greedy selects the registry name backing the GREEDY approach
-	// (default "greedy"; "greedy-naive" or "greedy-parallel" benchmark the
-	// candidate-maintenance variants — all three produce identical
-	// assignments, so quality panels are unaffected).
-	Greedy string
 	// Sharded wraps every approach's solver in connected-component
-	// decomposition (the "sharded-*" composites): components solve
+	// decomposition (core.NewSharded, as "sharded-<name>" does): components solve
 	// concurrently and merge. On the paper's well-connected workloads this
 	// usually degenerates to a single component (a verbatim pass-through);
 	// it is the knob for multi-island workloads like ablation-decompose.
@@ -84,9 +79,6 @@ func (s Scale) withDefaults() Scale {
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
-	}
-	if s.Greedy == "" {
-		s.Greedy = "greedy"
 	}
 	return s
 }

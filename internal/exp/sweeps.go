@@ -15,9 +15,7 @@ import (
 	"rdbsc/internal/stream"
 )
 
-// approachNames maps the paper's presentation names to registry names. The
-// GREEDY entry is overridden per run by Scale.Greedy, so the candidate-
-// maintenance variants can be swept without touching the experiments.
+// approachNames maps the paper's presentation names to registry names.
 var approachNames = map[string]string{
 	"GREEDY":   "greedy",
 	"SAMPLING": "sampling",
@@ -30,9 +28,6 @@ var approachNames = map[string]string{
 func solverSet(sc Scale) map[string]core.Solver {
 	out := make(map[string]core.Solver, len(approachNames))
 	for display, name := range approachNames {
-		if display == "GREEDY" && sc.Greedy != "" {
-			name = sc.Greedy
-		}
 		s, err := core.NewByName(name)
 		if err != nil {
 			panic(err) // the built-in solvers are always registered
@@ -592,31 +587,28 @@ func ablationPruning() Experiment {
 	}
 }
 
-// ablationIncremental compares the greedy candidate-maintenance variants:
-// the per-round full-recomputation baseline, the incremental bound cache,
-// and the incremental cache with parallel exact-Δ shards. All three return
-// identical assignments (the quality panels must agree); the extras show
-// the bound computations saved and the wall-clock effect.
+// ablationIncremental compares the greedy candidate-maintenance loops: the
+// per-round full-recomputation baseline and the incremental bound and
+// exact-Δ cache. Both return identical assignments (the quality panels
+// must agree); the extras show the bound computations saved and the
+// wall-clock effect.
 func ablationIncremental() Experiment {
 	return Experiment{
 		ID:         "ablation-incremental",
-		Title:      "GREEDY candidate maintenance: full recompute vs incremental vs incremental+parallel",
+		Title:      "GREEDY candidate maintenance: full recompute vs incremental",
 		XLabel:     "variant",
 		PaperShape: "(ablation; the incremental cache changes cost, never the assignment)",
 		Run: func(ctx context.Context, sc Scale) []Row {
 			sc = sc.withDefaults()
 			var rows []Row
 			for _, variant := range []struct {
-				name, solver string
+				name   string
+				solver *core.Greedy
 			}{
-				{"naive", "greedy-naive"},
-				{"incremental", "greedy"},
-				{"incr+parallel", "greedy-parallel"},
+				{"naive", &core.Greedy{Prune: true}},
+				{"incremental", core.NewGreedy()},
 			} {
-				solver, err := core.NewByName(variant.solver)
-				if err != nil {
-					panic(err) // the greedy variants are always registered
-				}
+				solver := variant.solver
 				row := newRow(variant.name)
 				runs := 0
 				for s := 0; s < sc.Seeds && ctx.Err() == nil; s++ {

@@ -44,9 +44,8 @@ type Config struct {
 	Beta float64
 	// Solver performs each round's assignment (default: greedy, with
 	// incremental candidate maintenance). SolverName selects one through
-	// the registry instead when Solver is nil — e.g. "greedy-parallel" for
-	// sharded exact-Δ evaluation, or "greedy-naive" for the per-round
-	// full-recomputation baseline.
+	// the registry instead when Solver is nil — e.g. "dc", or
+	// "sharded-greedy" to solve each connected component separately.
 	Solver     core.Solver
 	SolverName string
 	// Decompose enables the engine's connected-component path (see

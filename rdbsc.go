@@ -49,31 +49,27 @@
 // # Performance knobs
 //
 // The greedy solver memoises each pair's Δ-diversity bounds and exact Δ
-// across rounds under its task state's version (only the previously
-// assigned task's pairs are recomputed) and can evaluate a round's exact-Δ
-// misses on all CPUs. Both knobs change cost only — the assignment is
-// bit-identical across all variants:
+// across rounds under its task state's version, so only the previously
+// assigned task's pairs are recomputed. The memo changes cost only — the
+// assignment is bit-identical to the per-round full recomputation:
 //
-//	rdbsc.NewGreedy()                                   // incremental (default)
-//	&rdbsc.Greedy{Prune: true}                          // per-round full recompute
-//	&rdbsc.Greedy{Prune: true, Incremental: true, Parallel: true}
+//	rdbsc.NewGreedy()           // incremental (default; registry name "greedy")
+//	&rdbsc.Greedy{Prune: true}  // per-round full recompute, the test oracle
 //
-// The same variants are registered as "greedy", "greedy-naive", and
-// "greedy-parallel" for name-based selection (WithSolverName,
-// EngineConfig.SolverName, the drivers' SolverName fields, and the CLIs'
-// -solver flags). Result.Stats reports BoundsComputed/BoundsReused and
-// PairsEvaluated (exact Δs computed, memo hits excluded), the before/after
-// of the incremental cache.
+// Result.Stats reports BoundsComputed/BoundsReused and PairsEvaluated
+// (exact Δs computed, memo hits excluded), the before/after of the
+// incremental cache.
 //
 // # Sharded solving (connected-component decomposition)
 //
 // The objective aggregates per-task reliability with a min and per-task
 // diversity with a sum, so the problem decomposes exactly over the
 // connected components of the task-worker reachability graph. NewSharded
-// (or any "sharded-<inner>" registry name: "sharded-greedy", "sharded-dc",
-// …) solves the components concurrently under a GOMAXPROCS-bounded pool
-// and merges the per-component results; single-component problems pass
-// through to the inner solver bit-identically:
+// (or "sharded-" before any registered name: "sharded-greedy",
+// "sharded-dc", …) solves the components concurrently under a
+// GOMAXPROCS-bounded pool and merges the per-component results;
+// single-component problems pass through to the inner solver
+// bit-identically:
 //
 //	res, _ := rdbsc.Solve(ctx, in, rdbsc.WithSolverName("sharded-greedy"))
 //	fmt.Println(res.Stats.Components, res.Stats.MaxComponentPairs)
@@ -209,7 +205,8 @@ func Register(name string, factory SolverFactory, aliases ...string) {
 
 // NewSolverByName builds a fresh solver by its registered name ("greedy",
 // "sampling", "dc", "gtruth", "exhaustive", or anything added with
-// Register). Unknown names return an error listing the registered solvers.
+// Register), or by "sharded-" followed by one, which wraps it in
+// NewSharded. Unknown names return an error listing the registered solvers.
 func NewSolverByName(name string) (Solver, error) { return core.NewByName(name) }
 
 // Solvers returns the registered solver names, sorted.
@@ -244,7 +241,7 @@ func NewDC() *DC { return core.NewDC() }
 // component of the task-worker reachability graph is solved independently
 // (concurrently, under a GOMAXPROCS-bounded pool) and the results merge
 // exactly — the min/sum objective decomposes over components. Equivalent
-// registry names: "sharded-greedy", "sharded-sampling", "sharded-dc", ….
+// by name: "sharded-greedy", "sharded-sampling", "sharded-dc", ….
 func NewSharded(inner Solver) *Sharded { return core.NewSharded(inner) }
 
 // GTruth returns the paper's G-TRUTH reference configuration (D&C with a
