@@ -18,11 +18,14 @@
 // budget after a latency regime change.
 //
 // When even the minimum-effort plan (sampling at the floor sample count)
-// is predicted over budget, the serving layer degrades gracefully: it
-// serves the cached last assignment stamped with an explicit staleness
-// bound ("stale_ms") instead of answering 429, and sheds the request only
-// when no assignment younger than the configured staleness bound exists —
-// admission control as the final backstop, not the first resort.
+// is predicted over budget, the serving layer still solves one request at
+// a time as a probe, so observed latencies keep reaching the controller
+// and an over-budget verdict cannot outlive the overload that caused it.
+// Every other request degrades gracefully: it is served the cached last
+// assignment stamped with an explicit staleness bound ("stale_ms")
+// instead of answering 429, and shed only when no assignment younger than
+// the configured staleness bound exists — admission control as the final
+// backstop, not the first resort.
 //
 // Everything here trades exactness knowingly: adaptive mode may answer a
 // request with a different (faster) solver than an unconstrained run would

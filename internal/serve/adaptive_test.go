@@ -95,3 +95,40 @@ func TestAdaptiveExplicitSolverBypass(t *testing.T) {
 		t.Errorf("non-adaptive server exposes an adaptive stats block")
 	}
 }
+
+// TestAdaptiveOverBudgetRecovers: when the learned cost of the lane an
+// instance plans with puts even the minimum-effort plan over budget, one
+// request at a time must still solve. Its observed latency is what brings
+// the cost back down; a server that only served stale answers or shed
+// would never observe a solve again and stay over budget for good.
+func TestAdaptiveOverBudgetRecovers(t *testing.T) {
+	s, b, ts := newTestServer(t, EngineConfig{}, Config{SolverName: "greedy", Adaptive: true, SLOp99: 50 * time.Millisecond})
+	populate(t, ts.URL, 3, 4)
+	shape := b.View().Shape()
+	for i := 0; !s.adapt.PlanRequest(shape).OverBudget; i++ {
+		if i == 100 {
+			t.Fatal("could not inflate the learned cost over budget")
+		}
+		for _, comp := range shape.Components {
+			s.adapt.Observe(s.adapt.Plan(comp.Pairs, comp.LnPopulation), comp.Pairs, 10*time.Second)
+		}
+	}
+
+	const maxRequests = 50
+	fresh := 0
+	for i := 1; i <= maxRequests && fresh == 0; i++ {
+		code, out := doJSON(t, "POST", ts.URL+"/v1/solve", fmt.Sprintf(`{"seed":%d}`, i))
+		if code == 200 && out["degraded"] == nil {
+			fresh = i
+		}
+	}
+	if fresh == 0 {
+		t.Fatalf("no fresh solve in %d sequential over-budget requests", maxRequests)
+	}
+	for i := fresh + 1; i <= maxRequests && s.adapt.PlanRequest(shape).OverBudget; i++ {
+		doJSON(t, "POST", ts.URL+"/v1/solve", fmt.Sprintf(`{"seed":%d}`, i))
+	}
+	if s.adapt.PlanRequest(shape).OverBudget {
+		t.Errorf("still over budget after %d sequential requests: %+v", maxRequests, s.adapt.StatsSnapshot())
+	}
+}

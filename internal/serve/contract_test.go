@@ -518,9 +518,36 @@ var contract = []struct {
 	// when there is nothing to serve, then serve the last assignment stale
 	// inside the bound, then shed again once the bound has passed.
 	{"degrade-stale-shed", func(t *testing.T, b backend) {
+		// Under a 1ns budget every adaptive request is over budget. The
+		// first one solves as the probe; holding it in flight leaves every
+		// other over-budget request on the ladder: shed while nothing can
+		// be served, stale within -max-stale, shed past it.
 		const maxStale = 300 * time.Millisecond
-		h := start(t, b, serve.Config{Adaptive: true, SLOp99: time.Nanosecond, MaxStale: maxStale}, 0, nil)
+		held := &holdBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
+		hb := backend{b.name, b.sharded, func(queue int, newStore func() store.Store) (serve.Backend, error) {
+			inner, err := b.open(queue, newStore)
+			held.Backend = inner
+			return held, err
+		}}
+		h := start(t, hb, serve.Config{Adaptive: true, SLOp99: time.Nanosecond, MaxStale: maxStale}, 0, nil)
+		t.Cleanup(func() { // before the server's shutdown, should the test stop early
+			select {
+			case <-held.release:
+			default:
+				close(held.release)
+			}
+		})
 		h.populate(3, 4)
+
+		probe := make(chan reply, 1)
+		go func() {
+			r, err := h.try("POST", "/v1/solve", `{}`)
+			if err != nil {
+				t.Error(err)
+			}
+			probe <- r
+		}()
+		<-held.entered
 
 		if r := h.want(429, "POST", "/v1/solve", `{}`); r.hdr.Get("Retry-After") != "1" {
 			t.Errorf("shed without Retry-After: %v", r.hdr)
@@ -553,11 +580,41 @@ var contract = []struct {
 		if !sawDegraded || !sawShed {
 			t.Errorf("degraded inside the bound: %v, shed past it: %v; want both", sawDegraded, sawShed)
 		}
+
+		// The probe, once released, answers with a fresh solve.
+		close(held.release)
+		if r := <-probe; r.code != 200 || r.body["degraded"] != nil || r.body["lanes"] == nil {
+			t.Errorf("probe answer: %v", r)
+		}
 		ad := h.want(200, "GET", "/v1/stats", "").body["adaptive"].(map[string]any)
 		if ad["stale_served"].(float64) < 1 || ad["shed"].(float64) < 2 || ad["budget_ms"] != 1e-6 {
 			t.Errorf("adaptive stats: %v", ad)
 		}
 	}},
+}
+
+// holdBackend wraps a state backend so that adaptive solves — the only
+// kind the over-budget probe runs — signal entered and then park until
+// release is closed.
+type holdBackend struct {
+	serve.Backend
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *holdBackend) View() serve.View { return holdView{b.Backend.View(), b} }
+
+type holdView struct {
+	serve.View
+	b *holdBackend
+}
+
+func (v holdView) Solve(ctx context.Context, s core.Solver, opts *core.SolveOptions) (*core.Result, *serve.CoordinatorInfo, error) {
+	if strings.Contains(s.Name(), "ADAPTIVE") {
+		v.b.entered <- struct{}{}
+		<-v.b.release
+	}
+	return v.View.Solve(ctx, s, opts)
 }
 
 func TestHTTPContract(t *testing.T) {

@@ -359,19 +359,26 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	adaptiveActive := s.adapt != nil && req.Solver == ""
 	if adaptiveActive {
 		if s.adapt.PlanRequest(view.Shape()).OverBudget {
-			// Even the minimum-effort plan is predicted over budget: serve
-			// the last assignment within the staleness bound, shed with 429
-			// only when none exists — admission control as final backstop.
-			if resp, ok := s.degradeResponse(version); ok {
-				s.adapt.NoteDegraded(true)
-				writeJSON(w, http.StatusOK, resp)
+			// Even the minimum-effort plan is predicted over budget. One
+			// request at a time still solves, as the probe: its latency is
+			// the only observation that can bring the learned cost back
+			// down, so without it over-budget would be a state the server
+			// never leaves. Every other request is served the last
+			// assignment within the staleness bound, or shed with 429 when
+			// none exists — admission control as final backstop.
+			if !s.probing.CompareAndSwap(false, true) {
+				if resp, ok := s.degradeResponse(version); ok {
+					s.adapt.NoteDegraded(true)
+					writeJSON(w, http.StatusOK, resp)
+					return
+				}
+				s.adapt.NoteDegraded(false)
+				w.Header().Set("Retry-After", "1")
+				writeError(w, http.StatusTooManyRequests,
+					errors.New("predicted solve time exceeds the SLO budget and no assignment within the staleness bound exists"))
 				return
 			}
-			s.adapt.NoteDegraded(false)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests,
-				errors.New("predicted solve time exceeds the SLO budget and no assignment within the staleness bound exists"))
-			return
+			defer s.probing.Store(false)
 		}
 		dispatcher = adaptive.NewSolver(s.adapt)
 		solver = dispatcher

@@ -122,6 +122,7 @@ type Server struct {
 	lastRes atomic.Pointer[SolveResponse] // most recent completed solve
 	cache   *SolveCache                   // nil when Config.SolveCache == 0
 	adapt   *adaptive.Controller          // nil when Config.Adaptive is off
+	probing atomic.Bool                   // an over-budget adaptive request is solving as the probe
 
 	started time.Time
 	counters
