@@ -80,7 +80,7 @@ func main() {
 		snapEvery    = flag.Int("snapshot-every", 1024, "compact each shard's WAL into a snapshot after this many applied batches (0 = never; only with -data-dir)")
 		adaptiveOn   = flag.Bool("adaptive", false, "adaptive solve tier: route /v1/solve requests that name no solver through SLO-aware lane selection")
 		sloP99       = flag.Duration("slo-p99", 50*time.Millisecond, "p99 solve-latency budget for the adaptive tier (setting it implies -adaptive)")
-		maxStale     = flag.Duration("max-stale", 5*time.Second, "staleness bound for degraded answers: over-budget requests serve the last assignment only if it is at most this old, else 429")
+		maxStale     = flag.Duration("max-stale", 5*time.Second, "staleness bound for degraded answers: over-budget requests (but the one probe solving at a time) serve the last assignment only if it is at most this old, else 429")
 	)
 	flag.Parse()
 
