@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"rdbsc/internal/core"
@@ -17,13 +18,13 @@ import (
 // components are re-solved".
 type countingSolver struct {
 	inner core.Solver
-	calls int
+	calls atomic.Int64 // components solve concurrently
 }
 
 func (c *countingSolver) Name() string { return c.inner.Name() }
 
 func (c *countingSolver) Solve(ctx context.Context, p *core.Problem, opts *core.SolveOptions) (*core.Result, error) {
-	c.calls++
+	c.calls.Add(1)
 	return c.inner.Solve(ctx, p, opts)
 }
 
@@ -59,8 +60,8 @@ func TestDecomposeDirtyComponentCaching(t *testing.T) {
 	if comps < 2 {
 		t.Fatalf("want a multi-component instance, got %d component(s)", comps)
 	}
-	if cs.calls != comps {
-		t.Fatalf("initial solve ran %d component solves, want %d", cs.calls, comps)
+	if int(cs.calls.Load()) != comps {
+		t.Fatalf("initial solve ran %d component solves, want %d", int(cs.calls.Load()), comps)
 	}
 	if res1.Stats.ComponentsReused != 0 {
 		t.Errorf("initial solve reused %d components, want 0", res1.Stats.ComponentsReused)
@@ -75,8 +76,8 @@ func TestDecomposeDirtyComponentCaching(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cached solve: %v", err)
 	}
-	if cs.calls != comps {
-		t.Errorf("unchurned re-solve ran %d extra component solves, want 0", cs.calls-comps)
+	if int(cs.calls.Load()) != comps {
+		t.Errorf("unchurned re-solve ran %d extra component solves, want 0", int(cs.calls.Load())-comps)
 	}
 	if res2.Stats.ComponentsReused != comps {
 		t.Errorf("unchurned re-solve reused %d components, want %d", res2.Stats.ComponentsReused, comps)
@@ -104,7 +105,7 @@ func TestDecomposeDirtyComponentCaching(t *testing.T) {
 	if err != nil {
 		t.Fatalf("churned solve: %v", err)
 	}
-	if got := cs.calls - comps; got != 1 {
+	if got := int(cs.calls.Load()) - comps; got != 1 {
 		t.Errorf("single-island churn re-solved %d components, want 1", got)
 	}
 	if res3.Stats.Components != comps {
@@ -200,8 +201,8 @@ func TestDecomposeCacheKeyedOnSolver(t *testing.T) {
 		t.Fatalf("initial solve: %v", err)
 	}
 	comps := res1.Stats.Components
-	if comps < 2 || cs.calls != comps {
-		t.Fatalf("unexpected warm-up: %d components, %d calls", comps, cs.calls)
+	if comps < 2 || int(cs.calls.Load()) != comps {
+		t.Fatalf("unexpected warm-up: %d components, %d calls", comps, int(cs.calls.Load()))
 	}
 
 	other := &countingSolver{inner: core.NewSampling()}
@@ -209,9 +210,9 @@ func TestDecomposeCacheKeyedOnSolver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("override solve: %v", err)
 	}
-	if other.calls != comps {
+	if int(other.calls.Load()) != comps {
 		t.Errorf("solver override ran %d component solves, want %d (no stale cross-solver cache hits)",
-			other.calls, comps)
+			int(other.calls.Load()), comps)
 	}
 	if res2.Stats.ComponentsReused != 0 {
 		t.Errorf("solver override reused %d cached components, want 0", res2.Stats.ComponentsReused)
@@ -293,8 +294,8 @@ func TestDecomposeOverridePreservesWarmCache(t *testing.T) {
 		t.Fatalf("warm-up: %v", err)
 	}
 	comps := res1.Stats.Components
-	if comps < 2 || cs.calls != comps {
-		t.Fatalf("unexpected warm-up: %d components, %d calls", comps, cs.calls)
+	if comps < 2 || int(cs.calls.Load()) != comps {
+		t.Fatalf("unexpected warm-up: %d components, %d calls", comps, int(cs.calls.Load()))
 	}
 	if _, err := e.SolveWith(context.Background(), core.NewSampling(), &core.SolveOptions{Seed: 1}); err != nil {
 		t.Fatalf("override: %v", err)
@@ -303,8 +304,8 @@ func TestDecomposeOverridePreservesWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-override solve: %v", err)
 	}
-	if cs.calls != comps {
-		t.Errorf("the override evicted the standing solver's cache: %d extra solves", cs.calls-comps)
+	if int(cs.calls.Load()) != comps {
+		t.Errorf("the override evicted the standing solver's cache: %d extra solves", int(cs.calls.Load())-comps)
 	}
 	if res3.Stats.ComponentsReused != comps {
 		t.Errorf("post-override solve reused %d components, want %d", res3.Stats.ComponentsReused, comps)

@@ -57,10 +57,11 @@ type Scale struct {
 	// Seed is the base random seed (default 1).
 	Seed int64
 	// Sharded wraps every approach's solver in connected-component
-	// decomposition (core.NewSharded, as "sharded-<name>" does): components solve
-	// concurrently and merge. On the paper's well-connected workloads this
-	// usually degenerates to a single component (a verbatim pass-through);
-	// it is the knob for multi-island workloads like ablation-decompose.
+	// decomposition (core.NewSharded, as a "sharded-<name>" solver does):
+	// components solve concurrently and merge. On the paper's
+	// well-connected workloads this usually degenerates to a single
+	// component (a verbatim pass-through); it is the knob for multi-island
+	// workloads like ablation-decompose.
 	Sharded bool
 }
 

@@ -608,7 +608,6 @@ func ablationIncremental() Experiment {
 				{"naive", &core.Greedy{Prune: true}},
 				{"incremental", core.NewGreedy()},
 			} {
-				solver := variant.solver
 				row := newRow(variant.name)
 				runs := 0
 				for s := 0; s < sc.Seeds && ctx.Err() == nil; s++ {
@@ -617,7 +616,7 @@ func ablationIncremental() Experiment {
 					var res *core.Result
 					var err error
 					secs := timed(func() {
-						res, err = solver.Solve(ctx, p, &core.SolveOptions{Seed: 1})
+						res, err = variant.solver.Solve(ctx, p, &core.SolveOptions{Seed: 1})
 					})
 					if err != nil {
 						break // interrupted partial solves would skew the ablation
